@@ -5,14 +5,9 @@
 // Measured surfaces:
 //   - system:   the full Fig. 8 configuration (Set1 mix, all three
 //               policies) through sim::System::run;
-//   - l2_path:  nuca::DnucaCache::access_batch driven directly (the
-//               batched per-access L2 path), with a heap-allocation
-//               counter — the PR contract is zero per-access allocations
-//               in steady state;
-//   - l2_batch.N: batch-size sweep over fresh instances, each fed the
-//               identical access stream; every point must land on the
-//               same checksum (batching is a speed dial, not a result
-//               knob) and the fastest point justifies kDefaultBatchSize;
+//   - l2_path:  nuca::DnucaCache::access driven directly (the per-access
+//               L2 path), with a heap-allocation counter — the contract is
+//               zero per-access allocations in steady state;
 //   - cache:    cache::SetAssocCache access/fill on one bank's geometry;
 //   - profiler: msa::StackProfiler::observe at the production sampling
 //               configuration and at dense (1-in-1) sampling.
@@ -21,17 +16,14 @@
 // as metrics (this artifact *is* the perf trajectory) plus a deterministic
 // checksum so result drift is distinguishable from speed drift.
 //
-// Flags: --warmup, --instr, --epoch, --seed, --accesses, --batch-size,
-// --json-out, --csv-out (legacy env knobs BACP_SIM_* / BACP_BATCH work).
+// Flags: --warmup, --instr, --epoch, --seed, --accesses, --json-out,
+// --csv-out (legacy env knobs BACP_SIM_* work).
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <new>
 
-#include "common/assert.hpp"
 #include "common/env.hpp"
 #include "harness/experiments.hpp"
 #include "obs/phase_timer.hpp"
@@ -48,48 +40,6 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
-
-/// Batched driver for the L2 surfaces. The access stream is exactly the
-/// PR-5 scalar loop's (block from the rng, core = i % num_cores, every 8th
-/// access a write, now += 3) pushed through DnucaCache::access_batch, which
-/// replays scalar access() in order — so the checksum matches the scalar
-/// drive for every batch size and SIMD tier. Column buffers are members,
-/// keeping the timed loop allocation-free.
-struct L2BatchDriver {
-  static constexpr std::uint32_t kMax = bacp::nuca::DnucaCache::kMaxBatch;
-  std::array<bacp::BlockAddress, kMax> blocks{};
-  std::array<bacp::CoreId, kMax> cores{};
-  std::array<bool, kMax> writes{};
-  std::array<bacp::Cycle, kMax> times{};
-  std::array<bacp::nuca::L2AccessOutcome, kMax> outcomes{};
-  std::uint64_t index = 0;  ///< global access index (core / write pattern)
-  bacp::Cycle now = 0;
-
-  std::uint64_t drive(bacp::nuca::DnucaCache& l2, bacp::common::Rng& rng,
-                      std::uint64_t working_set, std::uint32_t num_cores,
-                      std::uint64_t count, std::uint32_t batch) {
-    std::uint64_t sum = 0;
-    for (std::uint64_t done = 0; done < count;) {
-      const auto n =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(batch, count - done));
-      for (std::uint32_t j = 0; j < n; ++j) {
-        blocks[j] = rng.next_below(working_set);
-        cores[j] = static_cast<bacp::CoreId>(index % num_cores);
-        writes[j] = (index & 7) == 0;
-        times[j] = now;
-        now += 3;
-        ++index;
-      }
-      l2.access_batch(blocks.data(), cores.data(), writes.data(), times.data(), n,
-                      outcomes.data());
-      for (std::uint32_t j = 0; j < n; ++j) {
-        sum += outcomes[j].bank + (outcomes[j].hit ? 1 : 0) + outcomes[j].evicted.size();
-      }
-      done += n;
-    }
-    return sum;
-  }
-};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -118,12 +68,6 @@ int main(int argc, char** argv) {
   auto config = harness::DetailedRunConfig::from_args(parser);
   const auto accesses = parser.get_u64_or_fail(
       "accesses", common::env_u64("BACP_PERF_ACCESSES", 4'000'000));
-  // Effective pipeline batch (--batch-size > BACP_BATCH > built-in default),
-  // clamped to what one AccessBatch holds.
-  const std::uint32_t batch_size =
-      config.batch_size != 0
-          ? std::min<std::uint32_t>(config.batch_size, nuca::DnucaCache::kMaxBatch)
-          : sim::System::kDefaultBatchSize;
 
   obs::PhaseTimers timers;
   obs::Report report("perf_throughput", "Simulator throughput (accesses/second)");
@@ -131,7 +75,6 @@ int main(int argc, char** argv) {
   report.meta("instr", std::to_string(config.measure_instructions));
   report.meta("accesses", std::to_string(accesses));
   report.meta("seed", std::to_string(config.seed));
-  report.meta("batch_size", std::to_string(batch_size));
   std::uint64_t checksum = 0;
 
   auto& table = report.table("throughput",
@@ -167,7 +110,6 @@ int main(int argc, char** argv) {
     system_config.seed = config.seed;
     system_config.finalize();
     sim::System system(system_config, mix);
-    system.set_batch_size(batch_size);
     system.warm_up(config.warmup_instructions);
 
     const auto live = [&] {
@@ -215,17 +157,26 @@ int main(int argc, char** argv) {
     // evictions — the full per-access path.
     const std::uint64_t working_set =
         2ull * geometry.num_banks * l2_config.sets_per_bank * geometry.ways_per_bank;
-    L2BatchDriver driver;
-    checksum += driver.drive(l2, rng, working_set, geometry.num_cores, accesses / 4,
-                             batch_size);  // reach steady state
+    // Stream: block from the rng, cores round-robin, every 8th access a
+    // write, 3 cycles apart; index and clock carry over from the warm-up.
+    std::uint64_t index = 0;
+    Cycle now = 0;
+    const auto drive = [&](std::uint64_t count) {
+      std::uint64_t sum = 0;
+      for (std::uint64_t i = 0; i < count; ++i, ++index, now += 3) {
+        const auto core = static_cast<CoreId>(index % geometry.num_cores);
+        const auto outcome =
+            l2.access(rng.next_below(working_set), core, (index & 7) == 0, now);
+        sum += outcome.bank + (outcome.hit ? 1 : 0) + outcome.evicted.size();
+      }
+      return sum;
+    };
+    checksum += drive(accesses / 4);  // reach steady state
     const std::uint64_t allocs_before = allocations();
-    std::uint64_t timed_sum = 0;
     {
       const auto scope = timers.scope("l2_path");
-      timed_sum =
-          driver.drive(l2, rng, working_set, geometry.num_cores, accesses, batch_size);
+      checksum += drive(accesses);
     }
-    checksum += timed_sum;
     const std::uint64_t allocs = allocations() - allocs_before;
     report.metric("l2_path_accesses_per_sec",
                   add_row("l2_path", accesses, timers.seconds("l2_path"), allocs), 0);
@@ -235,54 +186,6 @@ int main(int argc, char** argv) {
                                 : static_cast<double>(allocs) /
                                       static_cast<double>(accesses),
                   6);
-  }
-
-  // --- Batch-size sweep: the identical stream on a fresh instance per
-  // size. Every point must land on the same checksum — batching is a speed
-  // dial, not a result knob — and the fastest point is the evidence behind
-  // sim::System::kDefaultBatchSize.
-  {
-    constexpr std::array<std::uint32_t, 5> kSweepSizes = {1, 4, 16, 64, 256};
-    const std::uint64_t sweep_accesses = accesses / 2;
-    std::uint64_t sweep_checksum = 0;
-    std::uint32_t best_batch = 0;
-    double best_rate = 0.0;
-    for (const std::uint32_t batch : kSweepSizes) {
-      partition::CmpGeometry geometry;
-      noc::NocConfig noc_config;
-      noc_config.num_cores = geometry.num_cores;
-      noc_config.num_banks = geometry.num_banks;
-      noc::Noc noc(noc_config);
-      nuca::DnucaConfig l2_config;
-      l2_config.geometry = geometry;
-      nuca::DnucaCache l2(l2_config, noc);
-      l2.apply_assignment(partition::equal_partition(geometry).assignment);
-      common::Rng rng(config.seed, 80);
-      const std::uint64_t working_set =
-          2ull * geometry.num_banks * l2_config.sets_per_bank * geometry.ways_per_bank;
-      L2BatchDriver driver;
-      std::uint64_t sum = driver.drive(l2, rng, working_set, geometry.num_cores,
-                                       sweep_accesses / 4, batch);
-      const std::string phase = "l2_batch." + std::to_string(batch);
-      const std::uint64_t allocs_before = allocations();
-      {
-        const auto scope = timers.scope(phase);
-        sum += driver.drive(l2, rng, working_set, geometry.num_cores, sweep_accesses,
-                            batch);
-      }
-      if (sweep_checksum == 0) sweep_checksum = sum;
-      BACP_ASSERT(sum == sweep_checksum,
-                  "batch-size sweep checksum drifted across batch sizes");
-      const double rate = add_row(phase, sweep_accesses, timers.seconds(phase),
-                                  allocations() - allocs_before);
-      if (rate > best_rate) {
-        best_rate = rate;
-        best_batch = batch;
-      }
-    }
-    report.metric("l2_batch_sweep_checksum", sweep_checksum);
-    report.metric("l2_batch_best", static_cast<std::uint64_t>(best_batch));
-    report.metric("l2_batch_best_accesses_per_sec", best_rate, 0);
   }
 
   // --- One bank's SetAssocCache: access + fill micro loop. --------------

@@ -11,7 +11,7 @@
 // Default scale sums to >10k scheduling events across the lanes.
 //
 // Flags: --epochs, --lanes, --seed, --epoch, --warmup, --threads,
-// --batch-size, --no-snapshot-reuse, --json-out, --csv-out.
+// --no-snapshot-reuse, --json-out, --csv-out.
 
 #include <chrono>
 #include <cstdio>
@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
       harness::value_flag(harness::kEpochKnob),
       harness::value_flag(harness::kWarmupKnob),
       harness::value_flag(harness::kThreadsKnob),
-      harness::value_flag(harness::kBatchKnob),
       harness::bool_flag("no-snapshot-reuse",
                          "warm every lane cold instead of forking snapshots"),
   };
@@ -83,8 +82,6 @@ int main(int argc, char** argv) {
   const Cycle epoch_cycles = harness::read_u64(parser, harness::kEpochKnob, 20'000);
   const std::uint64_t warmup = harness::read_u64(parser, harness::kWarmupKnob, 200'000);
   const std::size_t num_threads = harness::read_threads(parser);
-  const auto batch_size =
-      static_cast<std::uint32_t>(harness::read_u64(parser, harness::kBatchKnob, 0));
   const bool snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
 
   // The substrate mix seeds the warm-up; it is shared by every lane, so with
@@ -125,7 +122,6 @@ int main(int argc, char** argv) {
   common::ThreadPool pool(num_threads);
   pool.parallel_for(lanes, [&](std::size_t lane) {
     sched::Service service(base, mix, cache_ptr);
-    if (batch_size != 0) service.set_batch_size(batch_size);
     service.play(streams[lane]);
     service.drain(epochs);
 

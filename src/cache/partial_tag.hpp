@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace bacp::cache {
@@ -22,17 +20,6 @@ inline std::uint32_t partial_tag(BlockAddress tag_bits, std::uint32_t width_bits
   if (width_bits >= 32) width_bits = 32;
   const std::uint64_t mixed = tag_bits * 0x9E3779B97F4A7C15ULL;
   return static_cast<std::uint32_t>(mixed >> (64 - width_bits));
-}
-
-/// Batched partial_tag over a contiguous tag-bits column: out[i] ==
-/// partial_tag(tag_bits[i], width_bits), zero-extended to the 64-bit
-/// entries the profiler stacks store. width_bits must be >= 1 (callers
-/// branch to full tags at width 0, same as the scalar form). Dispatches
-/// through common/simd.hpp; bit-identical across tiers.
-inline void partial_tags(const BlockAddress* tag_bits, std::uint64_t* out,
-                         std::size_t count, std::uint32_t width_bits) {
-  if (width_bits >= 32) width_bits = 32;
-  common::simd::mix_to_partial_tags(tag_bits, out, count, width_bits);
 }
 
 }  // namespace bacp::cache

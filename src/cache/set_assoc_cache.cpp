@@ -283,24 +283,6 @@ std::optional<Line> SetAssocCache::lru_line_for_core(BlockAddress block, CoreId 
   return std::nullopt;
 }
 
-std::optional<BlockAddress> SetAssocCache::peek_victim(BlockAddress block,
-                                                       CoreId core) const {
-  // Mirrors fill()'s selection: an invalid owned way means no eviction;
-  // otherwise the LRU-most owned way's current occupant is the victim.
-  const std::uint32_t set = set_index(block);
-  const std::uint64_t owned = owned_ways_[core];
-  if (owned == 0 || (owned & ~meta_[set].valid) != 0) return std::nullopt;
-  if (std::has_single_bit(owned)) {
-    return tags_[line_index(set, static_cast<WayIndex>(std::countr_zero(owned)))];
-  }
-  const std::uint8_t* links = links_.data() + link_index(set, 0);
-  for (WayIndex way = meta_[set].tail; way != kNil;
-       way = links[std::size_t{way} * 2]) {
-    if (((owned >> way) & 1) != 0) return tags_[line_index(set, way)];
-  }
-  return std::nullopt;
-}
-
 void SetAssocCache::set_way_partition(const std::vector<CoreMask>& masks) {
   BACP_ASSERT(masks.size() == config_.ways, "one mask per way required");
   for (CoreMask mask : masks) {

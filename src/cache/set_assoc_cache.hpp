@@ -123,13 +123,6 @@ class SetAssocCache {
   /// invalid.
   std::optional<Line> lru_line_for_core(BlockAddress block, CoreId core) const;
 
-  /// Mutation-free preview of the block a fill(block, core, ...) would
-  /// evict right now: empty when the core owns an invalid way (no eviction)
-  /// or owns no ways at all. Prefetch-planning hint for the batched
-  /// pipeline — any mutation between peek and fill can change the real
-  /// victim, costing only a wasted prefetch.
-  std::optional<BlockAddress> peek_victim(BlockAddress block, CoreId core) const;
-
   /// Replaces the per-way core masks. Resident lines are untouched: after a
   /// repartition, stale data in reassigned ways is displaced naturally by
   /// the new owner's fills (paper Section III-B).
@@ -166,22 +159,9 @@ class SetAssocCache {
     return static_cast<std::uint32_t>(block & (config_.num_sets - 1));
   }
 
-  /// True iff `block` is valid in this bank at exactly `way` — one valid-bit
-  /// plus one tag compare, no recency effects. The batched pipeline's replay
-  /// certifies a probe-stage hit verdict with this: a block resides in at
-  /// most one bank, so a matching valid tag *is* the residency, and the
-  /// replay can skip re-probing the residency index. Any intra-batch
-  /// displacement (eviction, migration) fails the check and the lane falls
-  /// back to the full lookup.
-  bool holds_at(BlockAddress block, WayIndex way) const {
-    const std::uint32_t set = set_index(block);
-    return ((meta_[set].valid >> way) & 1u) != 0 &&
-           tags_[line_index(set, way)] == block;
-  }
-
   /// Read-prefetches the set metadata, tag column and recency links for
-  /// `block`'s set. The batched pipeline issues these one batch ahead of
-  /// the authoritative scalar replay so the per-set lines are warm.
+  /// `block`'s set. sim::System issues this for each core's next buffered
+  /// access so the L1 set is warm when the access is served.
   void prefetch_set(BlockAddress block) const {
     const std::uint32_t set = set_index(block);
     common::simd::prefetch_read(&meta_[set]);

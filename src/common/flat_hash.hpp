@@ -53,22 +53,10 @@ class FlatHash64 {
     return slot == kNotFound ? nullptr : &slots_[slot].value;
   }
 
-  /// Issues a read prefetch for `key`'s probe line. The batched access
-  /// pipeline resolves probe addresses a whole batch ahead of the lookups,
-  /// so the table's (cold, multi-MB) slot array misses overlap instead of
-  /// serializing — the mutating find() that follows still decides.
+  /// Issues a read prefetch for `key`'s probe line, so a lookup issued a
+  /// few accesses later finds the table's (cold, multi-MB) slot array line
+  /// already in flight — the find() that follows still decides.
   void prefetch(Key key) const { simd::prefetch_read(&slots_[ideal_slot(key)]); }
-
-  /// Batched lookup: out[i] = find(keys[i]) for each of the `count` keys.
-  /// Same probe sequence and results as scalar find(); when the slot layout
-  /// is SIMD-eligible (16-byte slots), the probe runs four slots per step.
-  /// Pointers obey the same invalidation rule as find().
-  void find_batch(const Key* keys, std::uint32_t count, Value** out) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t slot = find_slot(keys[i]);
-      out[i] = slot == kNotFound ? nullptr : &slots_[slot].value;
-    }
-  }
 
   /// Returns the value for `key`, default-constructing it if absent (the
   /// `operator[]` idiom).
@@ -144,7 +132,7 @@ class FlatHash64 {
   static constexpr std::size_t kMaxLoadNum = 7;
   static constexpr std::size_t kMaxLoadDen = 8;
 
-  // The SIMD group probe reads raw slot bytes under the probe_group16
+  // The SIMD run probe reads raw slot bytes under the probe_run16
   // layout contract (16-byte slots, key at 0, occupancy byte at 12); any
   // Value that packs differently transparently keeps the scalar probe.
   static constexpr bool kGroupProbeEligible =
@@ -217,7 +205,7 @@ class FlatHash64 {
 
   // Hugepage-advised storage: the table is the large random-access
   // structure on the access path, and TLB-resident probes are what let the
-  // pipeline's prefetches issue at all (see HugePageAlloc).
+  // lookahead prefetches issue at all (see HugePageAlloc).
   std::vector<Slot, HugePageAlloc<Slot>> slots_;
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;

@@ -16,7 +16,7 @@ namespace bacp::common {
 /// the DNUCA residency index above all — are multi-megabyte arrays probed
 /// at random addresses: on 4 KiB pages nearly every probe is a second-level
 /// dTLB miss, and x86 cores drop software prefetches whose address misses
-/// the TLB, which silently defeats the batched pipeline's lookahead
+/// the TLB, which silently defeats sim::System's stream lookahead
 /// entirely. One hugepage maps 2 MiB, so an 8 MiB table needs four dTLB
 /// entries instead of two thousand and the prefetches actually issue.
 /// THP in "madvise" mode requires this explicit advice; under "always" the

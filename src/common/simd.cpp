@@ -103,60 +103,6 @@ __attribute__((target("avx2"))) std::uint32_t find_first_equal_u64_avx2(
   return kLaneNotFound;
 }
 
-__attribute__((target("avx2"))) void mix_to_partial_tags_avx2(
-    const std::uint64_t* tag_bits, std::uint64_t* out, std::size_t count,
-    std::uint32_t width_bits) {
-  // 64x64 multiply from three 32x32 products (AVX2 has no vpmullq): with
-  // a = [aH:aL] and the Fibonacci constant K = [kH:kL],
-  //   a*K mod 2^64 = aL*kL + ((aH*kL + aL*kH) << 32).
-  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-  const __m256i k = _mm256_set1_epi64x(static_cast<long long>(kGolden));
-  const __m256i k_hi = _mm256_srli_epi64(k, 32);
-  const int shift = static_cast<int>(64 - width_bits);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tag_bits + i));
-    const __m256i a_hi = _mm256_srli_epi64(a, 32);
-    const __m256i lo = _mm256_mul_epu32(a, k);
-    const __m256i cross =
-        _mm256_add_epi64(_mm256_mul_epu32(a_hi, k), _mm256_mul_epu32(a, k_hi));
-    const __m256i prod = _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-    const __m256i mixed = _mm256_srli_epi64(prod, shift);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), mixed);
-  }
-  for (; i < count; ++i) {
-    out[i] = (tag_bits[i] * kGolden) >> shift;
-  }
-}
-
-__attribute__((target("avx2"))) std::size_t collect_masked_zero_avx2(
-    const std::uint64_t* values, std::size_t count, std::uint64_t mask,
-    std::uint32_t* out_indices) {
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t found = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    const __m256i eq = _mm256_cmpeq_epi64(_mm256_and_si256(chunk, vmask), zero);
-    auto hits =
-        static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-    while (hits != 0) {
-      const auto lane = static_cast<std::uint32_t>(__builtin_ctz(hits));
-      out_indices[found++] = static_cast<std::uint32_t>(i) + lane;
-      hits &= hits - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    if ((values[i] & mask) == 0) {
-      out_indices[found++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return found;
-}
-
 __attribute__((target("avx2"))) void mu_scan_avx2(const double* prefix_hits,
                                                   std::size_t size, double total,
                                                   std::uint32_t current,
@@ -243,37 +189,6 @@ __attribute__((target("avx2"))) void miss_counts_avx2(
   }
 }
 
-__attribute__((target("avx2"))) std::uint32_t probe_group16_avx2(
-    const unsigned char* bytes, std::uint64_t needle) {
-  const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes));
-  const __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + 32));
-  // unpacklo gathers the key qwords of the four slots, but in the scrambled
-  // lane order [k0, k2, k1, k3] (it interleaves per 128-bit half).
-  const __m256i keys = _mm256_unpacklo_epi64(v0, v1);
-  const __m256i eq =
-      _mm256_cmpeq_epi64(keys, _mm256_set1_epi64x(static_cast<long long>(needle)));
-  const auto scrambled =
-      static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-  const std::uint32_t match_raw =
-      (scrambled & 1u) | (((scrambled >> 2) & 1u) << 1) |
-      (((scrambled >> 1) & 1u) << 2) | (((scrambled >> 3) & 1u) << 3);
-  // The occupancy byte holds 0 or 1, whose sign bit is always clear, so
-  // movemask alone cannot see it — compare bytes against zero first. Slot
-  // n's occupancy byte lands at bit 12 (n even) / 28 (n odd) of its half.
-  const __m256i zero = _mm256_setzero_si256();
-  const auto z0 =
-      static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v0, zero)));
-  const auto z1 =
-      static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v1, zero)));
-  const std::uint32_t empty = ((z0 >> 12) & 1u) | (((z0 >> 28) & 1u) << 1) |
-                              (((z1 >> 12) & 1u) << 2) | (((z1 >> 28) & 1u) << 3);
-  const std::uint32_t match = match_raw & ~empty;
-  const std::uint32_t events = match | empty;
-  if (events == 0) return kLaneNotFound;
-  const auto lane = static_cast<std::uint32_t>(__builtin_ctz(events));
-  return ((match >> lane) & 1u) != 0 ? (lane | kGroupMatchBit) : lane;
-}
-
 __attribute__((target("avx2"))) std::uint64_t probe_run16_avx2(
     const unsigned char* base, std::uint64_t mask, std::uint64_t slot,
     std::uint64_t needle) {
@@ -329,26 +244,6 @@ std::uint32_t find_first_equal_u64_avx2(const std::uint64_t* values,
   return find_first_equal_u64_scalar(values, count, needle);
 }
 
-void mix_to_partial_tags_avx2(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = (tag_bits[i] * 0x9E3779B97F4A7C15ull) >> (64 - width_bits);
-  }
-}
-
-std::size_t collect_masked_zero_avx2(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices) {
-  std::size_t found = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if ((values[i] & mask) == 0) out_indices[found++] = static_cast<std::uint32_t>(i);
-  }
-  return found;
-}
-
-std::uint32_t probe_group16_avx2(const unsigned char* bytes, std::uint64_t needle) {
-  return probe_group16_scalar(bytes, needle);
-}
-
 void mu_scan_avx2(const double* prefix_hits, std::size_t size, double total,
                   std::uint32_t current, std::uint32_t max_extra, double* out) {
   mu_scan_scalar(prefix_hits, size, total, current, max_extra, out);
@@ -384,37 +279,6 @@ std::uint32_t find_first_equal_u64_neon(const std::uint64_t* values,
   return kLaneNotFound;
 }
 
-void mix_to_partial_tags_neon(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits) {
-  // NEON's 64-bit lane multiply is scalar-per-lane anyway; the win here is
-  // the load/store pipelining, so a plain loop is the honest kernel.
-  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-  const std::uint32_t shift = 64 - width_bits;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = (tag_bits[i] * kGolden) >> shift;
-  }
-}
-
-std::size_t collect_masked_zero_neon(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices) {
-  const uint64x2_t vmask = vdupq_n_u64(mask);
-  std::size_t found = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t masked = vandq_u64(vld1q_u64(values + i), vmask);
-    if (vgetq_lane_u64(masked, 0) == 0) {
-      out_indices[found++] = static_cast<std::uint32_t>(i);
-    }
-    if (vgetq_lane_u64(masked, 1) == 0) {
-      out_indices[found++] = static_cast<std::uint32_t>(i + 1);
-    }
-  }
-  for (; i < count; ++i) {
-    if ((values[i] & mask) == 0) out_indices[found++] = static_cast<std::uint32_t>(i);
-  }
-  return found;
-}
-
 #else  // !BACP_SIMD_NEON
 
 std::uint32_t find_first_equal_u64_neon(const std::uint64_t* values,
@@ -422,56 +286,7 @@ std::uint32_t find_first_equal_u64_neon(const std::uint64_t* values,
   return find_first_equal_u64_scalar(values, count, needle);
 }
 
-void mix_to_partial_tags_neon(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = (tag_bits[i] * 0x9E3779B97F4A7C15ull) >> (64 - width_bits);
-  }
-}
-
-std::size_t collect_masked_zero_neon(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices) {
-  std::size_t found = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if ((values[i] & mask) == 0) out_indices[found++] = static_cast<std::uint32_t>(i);
-  }
-  return found;
-}
-
 #endif  // BACP_SIMD_NEON
 
 }  // namespace detail
-
-void mix_to_partial_tags(const std::uint64_t* tag_bits, std::uint64_t* out,
-                         std::size_t count, std::uint32_t width_bits) {
-  switch (active_tier()) {
-    case Tier::Avx2:
-      detail::mix_to_partial_tags_avx2(tag_bits, out, count, width_bits);
-      return;
-    case Tier::Neon:
-      detail::mix_to_partial_tags_neon(tag_bits, out, count, width_bits);
-      return;
-    case Tier::Scalar: break;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = (tag_bits[i] * 0x9E3779B97F4A7C15ull) >> (64 - width_bits);
-  }
-}
-
-std::size_t collect_masked_zero(const std::uint64_t* values, std::size_t count,
-                                std::uint64_t mask, std::uint32_t* out_indices) {
-  switch (active_tier()) {
-    case Tier::Avx2:
-      return detail::collect_masked_zero_avx2(values, count, mask, out_indices);
-    case Tier::Neon:
-      return detail::collect_masked_zero_neon(values, count, mask, out_indices);
-    case Tier::Scalar: break;
-  }
-  std::size_t found = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if ((values[i] & mask) == 0) out_indices[found++] = static_cast<std::uint32_t>(i);
-  }
-  return found;
-}
-
 }  // namespace bacp::common::simd

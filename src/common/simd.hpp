@@ -20,38 +20,21 @@ const char* to_string(Tier tier);
 /// The active tier: compile-time availability ∩ runtime CPU support ∩ the
 /// BACP_SIMD escape hatch. BACP_SIMD accepts "off"/"scalar" (force scalar),
 /// "avx2"/"neon" (force a tier, fatal if the host cannot run it) and
-/// "auto"/unset (best available). Resolved once per process; the batched
-/// pipeline is bit-identical across tiers, so this is purely a speed dial.
+/// "auto"/unset (best available). Resolved once per process; every kernel
+/// is bit-identical to its scalar reference, so this is purely a speed dial.
 Tier active_tier();
 
 /// Sentinel for "no matching lane".
 inline constexpr std::uint32_t kLaneNotFound = 0xFFFFFFFFu;
 
-/// probe_group16 result flag: the first match-or-empty event is a key match
-/// (otherwise it is an empty slot, which terminates a linear-probe run).
-inline constexpr std::uint32_t kGroupMatchBit = 0x100u;
-
 namespace detail {
 
-/// Layout contract for probe_group16: four consecutive 16-byte hash slots,
-/// u64 key at offset 0, one-byte occupancy flag (0 = empty) at offset 12.
+/// Layout contract for probe_run16: 16-byte hash slots, u64 key at offset
+/// 0, one-byte occupancy flag (0 = empty) at offset 12. The AVX2 kernel
+/// compares four slots per step.
 inline constexpr std::size_t kGroupSlotBytes = 16;
 inline constexpr std::size_t kGroupSlots = 4;
 inline constexpr std::size_t kGroupOccupiedOffset = 12;
-
-inline std::uint32_t probe_group16_scalar(const unsigned char* bytes,
-                                          std::uint64_t needle) {
-  for (std::uint32_t lane = 0; lane < kGroupSlots; ++lane) {
-    const unsigned char* slot = bytes + lane * kGroupSlotBytes;
-    if (slot[kGroupOccupiedOffset] == 0) return lane;
-    std::uint64_t key;
-    __builtin_memcpy(&key, slot, sizeof(key));
-    if (key == needle) return lane | kGroupMatchBit;
-  }
-  return kLaneNotFound;
-}
-
-std::uint32_t probe_group16_avx2(const unsigned char* bytes, std::uint64_t needle);
 
 /// probe_run16 result flag (bit 0): the run ended on a key match. Clear
 /// means the run ended at an empty slot — which in a linear-probe table is
@@ -94,16 +77,6 @@ std::uint32_t find_first_equal_u64_avx2(const std::uint64_t* values, std::uint32
                                         std::uint64_t needle);
 std::uint32_t find_first_equal_u64_neon(const std::uint64_t* values, std::uint32_t count,
                                         std::uint64_t needle);
-
-void mix_to_partial_tags_avx2(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits);
-void mix_to_partial_tags_neon(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits);
-
-std::size_t collect_masked_zero_avx2(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices);
-std::size_t collect_masked_zero_neon(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices);
 
 /// Scalar reference for mu_scan. The float op sequence per lane —
 /// B = total - prefix[clamped], removed = A - B, removed / n — must match
@@ -169,34 +142,6 @@ inline std::uint32_t find_first_equal_u64(const std::uint64_t* values,
   return detail::find_first_equal_u64_scalar(values, count, needle);
 }
 
-/// Probes four consecutive 16-byte hash slots (layout per
-/// detail::kGroupSlotBytes/kGroupOccupiedOffset) for `needle` in
-/// linear-probe order. Returns the lane (0-3) of the first match-or-empty
-/// event — kGroupMatchBit set when the event is an occupied slot whose key
-/// equals `needle` — or kLaneNotFound when all four slots are occupied by
-/// other keys (the probe run continues past the group).
-inline std::uint32_t probe_group16(const void* slots, std::uint64_t needle) {
-  const auto* bytes = static_cast<const unsigned char*>(slots);
-  if (active_tier() == Tier::Avx2) return detail::probe_group16_avx2(bytes, needle);
-  return detail::probe_group16_scalar(bytes, needle);
-}
-
-/// Batched Fibonacci partial-tag mix: out[i] = (tag_bits[i] * K) >> (64 -
-/// width_bits), the vector form of cache::partial_tag over a whole
-/// AccessBatch. width_bits must be in [1, 32]; results are the zero-extended
-/// 64-bit entries the profiler stacks store.
-void mix_to_partial_tags(const std::uint64_t* tag_bits, std::uint64_t* out,
-                         std::size_t count, std::uint32_t width_bits);
-
-/// Batched sampling-mask resolve: appends to out_indices every index i with
-/// (values[i] & mask) == 0 (ascending), returning how many matched. This is
-/// the profiler's pow2 "is this set sampled?" test hoisted across a batch:
-/// with num_sets and set_sampling both powers of two, sampled-set membership
-/// is one AND against (set_mask & sample_mask). out_indices must have room
-/// for count entries.
-std::size_t collect_masked_zero(const std::uint64_t* values, std::size_t count,
-                                std::uint64_t mask, std::uint32_t* out_indices);
-
 /// Marginal-utility lookahead scan over one miss-ratio curve (the inner
 /// kernel of the analytic allocation search): fills out[n-1] with
 /// MU(current, n) = (miss(current) - miss(current + n)) / n for n in
@@ -243,21 +188,14 @@ inline void miss_counts(const double* const* prefixes, const std::uint32_t* size
   detail::miss_counts_scalar(prefixes, sizes, totals, ways, count, out);
 }
 
-/// Software prefetch hints (no-ops where unsupported). The batched access
-/// pipeline's main lever: the DNUCA residency table is tens of megabytes,
-/// so resolving its probe addresses a whole batch ahead turns dependent
-/// cache misses into overlapped ones.
+/// Software read-prefetch hint (a no-op where unsupported). sim::System
+/// issues it through DnucaCache::prefetch and SetAssocCache::prefetch_set
+/// for the next few accesses of each core's buffered stream: the DNUCA
+/// residency table is tens of megabytes, so touching its probe lines early
+/// overlaps their cache misses with the access being served.
 inline void prefetch_read(const void* address) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(address, 0, 3);
-#else
-  (void)address;
-#endif
-}
-
-inline void prefetch_write(const void* address) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, 1, 3);
 #else
   (void)address;
 #endif

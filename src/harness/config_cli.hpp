@@ -50,8 +50,6 @@ inline constexpr EnvFlag kTrialsKnob{"trials", "BACP_MC_TRIALS", "Monte-Carlo tr
 inline constexpr EnvFlag kMcSeedKnob{"seed", "BACP_MC_SEED", "Monte-Carlo seed"};
 inline constexpr EnvFlag kThreadsKnob{"threads", "BACP_THREADS",
                                       "worker threads, 0 = hardware"};
-inline constexpr EnvFlag kBatchKnob{"batch-size", "BACP_BATCH",
-                                    "access pipeline batch size, 0 = built-in default"};
 inline constexpr EnvFlag kShardsKnob{"shards", "BACP_MC_SHARDS",
                                      "Monte-Carlo process shard count"};
 inline constexpr EnvFlag kShardIdKnob{"shard-id", "BACP_MC_SHARD_ID",

@@ -95,7 +95,6 @@ sim::SystemResults run_policy(sim::PolicyKind policy, const trace::WorkloadMix& 
   system_config.finalize();
 
   sim::System system(system_config, mix);
-  if (config.batch_size != 0) system.set_batch_size(config.batch_size);
   warm_system(system, mix, config.warmup_instructions, cache, config.shared_warmup);
   {
     const auto timer = obs::global_phase_timers().scope("simulate");

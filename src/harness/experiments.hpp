@@ -47,9 +47,6 @@ struct DetailedRunConfig {
   /// Opt-in (--shared-warmup): one policy-neutral warm-up per (mix, scale)
   /// adopted into every policy variant. Results change by design.
   bool shared_warmup = false;
-  /// Access-pipeline batch size (0 = the System's own BACP_BATCH/default).
-  /// Speed dial only: batching replays scalar, results are identical.
-  std::uint32_t batch_size = 0;
   /// Directory for file-backed warm-state snapshots shared across processes
   /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
   std::string snapshot_bank;
@@ -90,16 +87,11 @@ struct DetailedRunConfig {
     shared_warmup = value;
     return *this;
   }
-  DetailedRunConfig& with_batch_size(std::uint32_t value) {
-    batch_size = value;
-    return *this;
-  }
 
   DetailedRunConfig& with_sweep(const VariantSweepOptions& sweep) {
     num_threads = sweep.num_threads;
     snapshot_reuse = sweep.snapshot_reuse;
     shared_warmup = sweep.shared_warmup;
-    batch_size = sweep.batch_size;
     snapshot_bank = sweep.snapshot_bank;
     return *this;
   }
@@ -108,13 +100,12 @@ struct DetailedRunConfig {
         .with_num_threads(num_threads)
         .with_snapshot_reuse(snapshot_reuse)
         .with_shared_warmup(shared_warmup)
-        .with_batch_size(batch_size)
         .with_snapshot_bank(snapshot_bank);
   }
 
   /// The standard scale flags (--warmup, --instr, --epoch, --seed,
-  /// --threads, --batch-size, --no-snapshot-reuse, --shared-warmup) for
-  /// binaries that drive detailed simulations; pair with from_args().
+  /// --threads, --no-snapshot-reuse, --shared-warmup) for binaries that
+  /// drive detailed simulations; pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the

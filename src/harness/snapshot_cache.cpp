@@ -164,7 +164,6 @@ std::uint64_t SnapshotCache::file_hits() const {
 std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags() {
   return {
       value_flag(kThreadsKnob),
-      value_flag(kBatchKnob),
       value_flag(kSnapshotBankKnob),
       value_flag(kPoolKnob),
       value_flag(kMmapKnob),
@@ -176,8 +175,6 @@ std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags(
 VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& parser) {
   VariantSweepOptions options;
   options.num_threads = read_threads(parser, options.num_threads);
-  options.batch_size =
-      static_cast<std::uint32_t>(read_u64(parser, kBatchKnob, options.batch_size));
   options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
   options.shared_warmup = parser.get_bool_or_fail("shared-warmup", false);
   options.snapshot_bank = read_string(parser, kSnapshotBankKnob, options.snapshot_bank);
@@ -251,7 +248,6 @@ void run_variant_sweep(std::span<const SweepVariant> variants,
       local.emplace(variant.config, mix);
     }
     sim::System& system = options.pool ? *lease : *local;
-    if (options.batch_size != 0) system.set_batch_size(options.batch_size);
     warm_system(system, mix, variant.warmup_instructions, cache_ptr,
                 options.shared_warmup);
     body(system, index);

@@ -119,10 +119,6 @@ struct VariantSweepOptions {
   /// Opt-in: share one canonical warm-up across all variants of a mix
   /// (changes results by design — see warm_system()).
   bool shared_warmup = false;
-  /// Access-pipeline batch size applied to every variant's System
-  /// (0 = keep the System's own BACP_BATCH/default). Pure speed dial:
-  /// batching replays scalar, so results are identical for any value.
-  std::uint32_t batch_size = 0;
   /// Directory for file-backed warm snapshots shared across processes
   /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
   std::string snapshot_bank;
@@ -136,10 +132,6 @@ struct VariantSweepOptions {
 
   VariantSweepOptions& with_num_threads(std::size_t value) {
     num_threads = value;
-    return *this;
-  }
-  VariantSweepOptions& with_batch_size(std::uint32_t value) {
-    batch_size = value;
     return *this;
   }
   VariantSweepOptions& with_snapshot_bank(std::string value) {
@@ -163,9 +155,9 @@ struct VariantSweepOptions {
     return *this;
   }
 
-  /// The shared sweep-execution flags (--threads, --batch-size,
-  /// --no-snapshot-reuse, --shared-warmup); every sweep binary takes
-  /// exactly these, and the config structs that embed sweep knobs
+  /// The shared sweep-execution flags (--threads, --no-snapshot-reuse,
+  /// --shared-warmup, ...); every sweep binary takes exactly these, and
+  /// the config structs that embed sweep knobs
   /// (DetailedRunConfig, sched::ServiceConfig drivers) forward here
   /// instead of re-declaring them. Pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();

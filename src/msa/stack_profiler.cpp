@@ -38,7 +38,18 @@ std::uint32_t StackProfiler::stored_tag(BlockAddress block) const {
   return cache::partial_tag(block >> set_shift_, config_.partial_tag_bits);
 }
 
-void StackProfiler::update_stack(std::size_t stack_index, std::uint64_t entry) {
+void StackProfiler::observe(BlockAddress block) {
+  ++observed_;
+  const auto set = static_cast<std::uint32_t>(block & set_mask_);
+  if (!is_sampled_set(set)) return;
+  ++sampled_;
+
+  const std::uint64_t entry =
+      config_.partial_tag_bits == 0
+          ? (block >> set_shift_)
+          : static_cast<std::uint64_t>(stored_tag(block));
+
+  const std::size_t stack_index = set / config_.set_sampling;
   std::uint64_t* stack = stack_entries_.data() + stack_index * config_.profiled_ways;
   const std::uint32_t size = stack_sizes_[stack_index];
 
@@ -55,67 +66,6 @@ void StackProfiler::update_stack(std::size_t stack_index, std::uint64_t entry) {
     stack_sizes_[stack_index] = new_size;
   }
   stack[0] = entry;
-}
-
-void StackProfiler::observe(BlockAddress block) {
-  ++observed_;
-  const auto set = static_cast<std::uint32_t>(block & set_mask_);
-  if (!is_sampled_set(set)) return;
-  ++sampled_;
-
-  const std::uint64_t entry =
-      config_.partial_tag_bits == 0
-          ? (block >> set_shift_)
-          : static_cast<std::uint64_t>(stored_tag(block));
-
-  update_stack(set / config_.set_sampling, entry);
-}
-
-void StackProfiler::observe_batch(const BlockAddress* blocks, std::uint32_t count) {
-  if (!sample_is_pow2_) {
-    // Modulo sampling has no one-instruction batch test; stay scalar.
-    for (std::uint32_t i = 0; i < count; ++i) observe(blocks[i]);
-    return;
-  }
-  constexpr std::uint32_t kChunk = 256;
-  // Sampled iff (set & sample_mask_) == 0 with set = block & set_mask_, so
-  // membership collapses to one masked-zero test against the combined mask.
-  const std::uint64_t member_mask =
-      set_mask_ & static_cast<std::uint64_t>(sample_mask_);
-  while (count > 0) {
-    const std::uint32_t n = std::min(count, kChunk);
-    observed_ += n;
-    std::uint32_t sampled_at[kChunk];
-    const std::size_t num_sampled =
-        common::simd::collect_masked_zero(blocks, n, member_mask, sampled_at);
-    sampled_ += num_sampled;
-
-    std::uint64_t entries[kChunk];
-    if (config_.partial_tag_bits == 0) {
-      for (std::size_t i = 0; i < num_sampled; ++i) {
-        entries[i] = blocks[sampled_at[i]] >> set_shift_;
-      }
-    } else {
-      std::uint64_t tag_bits[kChunk];
-      for (std::size_t i = 0; i < num_sampled; ++i) {
-        tag_bits[i] = blocks[sampled_at[i]] >> set_shift_;
-      }
-      cache::partial_tags(tag_bits, entries, num_sampled, config_.partial_tag_bits);
-    }
-
-    std::size_t stack_index[kChunk];
-    for (std::size_t i = 0; i < num_sampled; ++i) {
-      const auto set = static_cast<std::uint32_t>(blocks[sampled_at[i]] & set_mask_);
-      stack_index[i] = set / config_.set_sampling;
-      common::simd::prefetch_write(stack_entries_.data() +
-                                   stack_index[i] * config_.profiled_ways);
-    }
-    for (std::size_t i = 0; i < num_sampled; ++i) {
-      update_stack(stack_index[i], entries[i]);
-    }
-    blocks += n;
-    count -= n;
-  }
 }
 
 MissRatioCurve StackProfiler::curve() const {

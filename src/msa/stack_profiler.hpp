@@ -45,14 +45,6 @@ class StackProfiler {
   /// hardware never sees them).
   void observe(BlockAddress block);
 
-  /// Feeds `count` accesses with the front half batched: the pow2 sampling
-  /// mask resolves across the whole batch (one AND+compare per lane), the
-  /// partial-tag mix vectorizes over the survivors, and their stack lines
-  /// are prefetched before the per-access move-to-front updates replay in
-  /// order. Counters and stacks end bit-identical to calling observe() per
-  /// element.
-  void observe_batch(const BlockAddress* blocks, std::uint32_t count);
-
   /// Counters C1..CK (hits by stack position) plus C(K+1) (misses).
   const common::Histogram& histogram() const { return histogram_; }
 
@@ -93,7 +85,6 @@ class StackProfiler {
     return set % config_.set_sampling == 0;
   }
   std::uint32_t stored_tag(BlockAddress block) const;
-  void update_stack(std::size_t stack_index, std::uint64_t entry);
 
   // NOLINTNEXTLINE(bacp-reset-fields): immutable profiler geometry; pinned at construction, never rewound
   ProfilerConfig config_;

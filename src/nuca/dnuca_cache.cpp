@@ -76,11 +76,6 @@ DnucaCache::DnucaCache(const DnucaConfig& config, noc::Noc& noc)
                      config_.geometry.ways_per_bank);
   stats_.hits.assign(config_.geometry.num_cores, 0);
   stats_.misses.assign(config_.geometry.num_cores, 0);
-  batch_miss_scratch_.assign(config_.geometry.num_cores, 0);
-  batch_bank_scratch_.assign(kMaxBatch, kInvalidBank);
-  batch_way_scratch_.assign(kMaxBatch, 0);
-  batch_fill_scratch_.assign(kMaxBatch, kInvalidBank);
-  batch_miss_flag_.assign(kMaxBatch, 0);
 }
 
 void DnucaCache::rebuild_view_positions() {
@@ -107,31 +102,6 @@ void DnucaCache::apply_assignment(const partition::BankAssignment& assignment) {
     BACP_ASSERT(!views_[core].empty(), "every core needs at least one bank");
   }
   rebuild_view_positions();
-}
-
-BankId DnucaCache::peek_fill_bank(BlockAddress block, CoreId core,
-                                  std::size_t miss_offset) const {
-  // Mutation-free mirror of pick_fill_bank for the batch prefetch phase:
-  // the Parallel cursor is projected forward by the lane's position in the
-  // batch's predicted miss sequence instead of being advanced.
-  const auto& view = views_[core];
-  switch (config_.aggregation) {
-    case AggregationKind::Parallel:
-      return view[(round_robin_[core] + miss_offset) % view.size()];
-    case AggregationKind::AddressHash: {
-      const BlockAddress tag_bits = block >> log2_floor(config_.sets_per_bank);
-      return view[cache::partial_tag(tag_bits, 20) % view.size()];
-    }
-    case AggregationKind::Cascade:
-    case AggregationKind::TwoLevelCascade:
-      return view[0];
-    case AggregationKind::SharedDnuca: {
-      const BlockAddress tag_bits = block >> log2_floor(config_.sets_per_bank);
-      return static_cast<BankId>(cache::partial_tag(tag_bits, 20) %
-                                 config_.geometry.num_banks);
-    }
-  }
-  return view[0];
 }
 
 BankId DnucaCache::pick_fill_bank(BlockAddress block, CoreId core) {
@@ -249,17 +219,11 @@ L2AccessOutcome DnucaCache::access(BlockAddress block, CoreId core, bool is_writ
   // Locate the line via the residency index. The modelled lookup cost still
   // follows the hardware's search: partition first (nearest bank first),
   // then the rest of the structure for repartition transients.
-  return access_located(block, core, is_write, now, residency_.find(block));
-}
-
-L2AccessOutcome DnucaCache::access_located(BlockAddress block, CoreId core,
-                                           bool is_write, Cycle now,
-                                           const Location* located) {
   BACP_DASSERT(core < views_.size(), "core out of range");
   L2AccessOutcome outcome;
   const auto& view = views_[core];
 
-  const Location* residency_entry = located;
+  const Location* residency_entry = residency_.find(block);
   const bool resident_here = residency_entry != nullptr;
   const Location found = resident_here ? *residency_entry : Location{};
   const BankId found_bank = found.bank;
@@ -342,90 +306,6 @@ L2AccessOutcome DnucaCache::access_located(BlockAddress block, CoreId core,
   return outcome;
 }
 
-void DnucaCache::access_batch(const BlockAddress* blocks, const CoreId* cores,
-                              const bool* writes, const Cycle* times,
-                              std::uint32_t count, L2AccessOutcome* outcomes) {
-  BACP_DASSERT(count <= kMaxBatch, "batch larger than kMaxBatch");
-  // Short software pipeline: a probe/classify stage leads the
-  // authoritative replay by a few lanes, so every cache line a lane will
-  // dereference is in flight before the replay needs it, while the
-  // bookkeeping stays a handful of scratch writes per lane.
-  //   probe (lane i): prefetch the residency probe line kProbeAhead lanes
-  //     out; find lane i's block and classify it — in-view hit, off-view
-  //     hit, or miss. Hits prefetch the serving bank's set lines; off-view
-  //     hits and misses will fill, so they project the Parallel round-robin
-  //     cursor forward by this batch's cursor consumers so far (off-view
-  //     hits consume it too, not just misses) and prefetch the predicted
-  //     fill set.
-  //   victim (one lane behind): filling lanes peek the predicted set's
-  //     would-be victim — its lines are warm by now — and prefetch the
-  //     victim's residency probe line, which the eviction path erases.
-  //   replay (kReplayAhead behind): the scalar path, bit-identical to
-  //     `count` scalar calls. A hit verdict is re-certified with one tag
-  //     compare (a block resides in at most one bank, so a matching valid
-  //     tag *is* the residency) and then skips the duplicate index probe;
-  //     a failed certificate — the block was displaced by an earlier lane
-  //     in this batch — and every miss verdict (an earlier lane may have
-  //     *filled* the block, so "absent" cannot be certified) re-probe in
-  //     full. Any misprediction costs only a wasted prefetch.
-  constexpr std::uint32_t kProbeAhead = 8;
-  constexpr std::uint32_t kReplayAhead = 3;
-  constexpr std::uint8_t kInViewHit = 0;
-  constexpr std::uint8_t kOffViewHit = 1;
-  constexpr std::uint8_t kMiss = 2;
-  std::fill(batch_miss_scratch_.begin(), batch_miss_scratch_.end(), 0);
-  const std::uint32_t lead = kProbeAhead < count ? kProbeAhead : count;
-  for (std::uint32_t i = 0; i < lead; ++i) residency_.prefetch(blocks[i]);
-  for (std::uint32_t i = 0; i < count + kReplayAhead; ++i) {
-    if (i < count) {
-      if (i + kProbeAhead < count) residency_.prefetch(blocks[i + kProbeAhead]);
-      const CoreId core = cores[i];
-      if (const Location* found = residency_.find(blocks[i])) {
-        batch_bank_scratch_[i] = found->bank;
-        batch_way_scratch_[i] = found->way;
-        banks_[found->bank].prefetch_set(blocks[i]);
-        if (view_position(core, found->bank) != kNotInView) {
-          batch_miss_flag_[i] = kInViewHit;
-        } else {
-          batch_miss_flag_[i] = kOffViewHit;
-          const BankId target =
-              peek_fill_bank(blocks[i], core, batch_miss_scratch_[core]++);
-          batch_fill_scratch_[i] = target;
-          banks_[target].prefetch_set(blocks[i]);
-        }
-      } else {
-        batch_miss_flag_[i] = kMiss;
-        const BankId target =
-            peek_fill_bank(blocks[i], core, batch_miss_scratch_[core]++);
-        batch_fill_scratch_[i] = target;
-        banks_[target].prefetch_set(blocks[i]);
-      }
-    }
-    if (i >= 1 && i - 1 < count) {
-      const std::uint32_t j = i - 1;
-      if (batch_miss_flag_[j] != kInViewHit) {
-        if (const auto victim =
-                banks_[batch_fill_scratch_[j]].peek_victim(blocks[j], cores[j])) {
-          residency_.prefetch(*victim);
-        }
-      }
-    }
-    if (i >= kReplayAhead) {
-      const std::uint32_t r = i - kReplayAhead;
-      if (batch_miss_flag_[r] != kMiss) {
-        const Location hint{static_cast<std::uint16_t>(batch_bank_scratch_[r]),
-                            batch_way_scratch_[r]};
-        if (banks_[hint.bank].holds_at(blocks[r], hint.way)) {
-          outcomes[r] =
-              access_located(blocks[r], cores[r], writes[r], times[r], &hint);
-          continue;
-        }
-      }
-      outcomes[r] = access(blocks[r], cores[r], writes[r], times[r]);
-    }
-  }
-}
-
 bool DnucaCache::writeback_update(BlockAddress block) {
   const Location* location = residency_.find(block);
   if (location == nullptr) return false;
@@ -458,11 +338,6 @@ void DnucaCache::reset_in_place() {
   // snapshots (entries serialize in key order).
   residency_.clear();
   clear_stats();
-  std::fill(batch_miss_scratch_.begin(), batch_miss_scratch_.end(), 0);
-  std::fill(batch_bank_scratch_.begin(), batch_bank_scratch_.end(), kInvalidBank);
-  std::fill(batch_way_scratch_.begin(), batch_way_scratch_.end(), 0);
-  std::fill(batch_fill_scratch_.begin(), batch_fill_scratch_.end(), kInvalidBank);
-  std::fill(batch_miss_flag_.begin(), batch_miss_flag_.end(), 0);
 }
 
 void DnucaCache::clear_stats() {

@@ -119,28 +119,13 @@ class DnucaCache {
   /// inclusion handling.
   L2AccessOutcome access(BlockAddress block, CoreId core, bool is_write, Cycle now);
 
-  /// Batched access: column inputs (lane i = one access), outcomes written
-  /// to outcomes[i]. The front half runs data-parallel — residency-table
-  /// probe lines prefetch across the whole batch, candidate serving/fill
-  /// sets prefetch next (with Parallel round-robin fill banks predicted per
-  /// lane) — then every access replays through scalar access() in order, so
-  /// outcomes and all simulated state are bit-identical to count scalar
-  /// calls. Mispredicted candidates (intra-batch conflicts, repartition
-  /// races) cost only a wasted prefetch. count <= kMaxBatch.
-  void access_batch(const BlockAddress* blocks, const CoreId* cores,
-                    const bool* writes, const Cycle* times, std::uint32_t count,
-                    L2AccessOutcome* outcomes);
-
-  /// Upper bound on access_batch's count (matches trace::AccessBatch).
-  static constexpr std::uint32_t kMaxBatch = 256;
-
   /// Dirty-data update from an L1 writeback. Returns false if the block is
   /// no longer resident (caller forwards to memory).
   bool writeback_update(BlockAddress block);
 
-  /// Read-prefetch of the residency probe line for `block` — the batched
-  /// pipeline's lookahead hook (the index is the large, cold structure on
-  /// the access path).
+  /// Read-prefetch of the residency probe line for `block`. sim::System
+  /// issues it for the next few accesses of a core's buffered stream (the
+  /// index is the large, cold structure on the access path).
   void prefetch(BlockAddress block) const { residency_.prefetch(block); }
 
   /// Whole-structure presence probe (tests / invariants).
@@ -189,15 +174,6 @@ class DnucaCache {
     std::uint16_t way = 0;
   };
 
-  /// access() with the residency lookup already done: `located` is the
-  /// line's exact Location, or nullptr for "not resident". Everything
-  /// downstream of the lookup (accounting, NoC timing, fills, stats) is
-  /// the single authoritative implementation both the scalar path and the
-  /// batched replay share — the replay passes a *certified* stage-B verdict
-  /// (see SetAssocCache::holds_at) so hit lanes skip the duplicate probe.
-  L2AccessOutcome access_located(BlockAddress block, CoreId core, bool is_write,
-                                 Cycle now, const Location* located);
-
   /// Fills `block` into `bank_id` for `core`, cascading the displaced
   /// victim down `chain` starting at `chain_next` (empty chain: victim
   /// leaves the cache). Appends fully-evicted lines to `outcome` and keeps
@@ -207,8 +183,6 @@ class DnucaCache {
                           L2AccessOutcome& outcome);
 
   BankId pick_fill_bank(BlockAddress block, CoreId core);
-  BankId peek_fill_bank(BlockAddress block, CoreId core,
-                        std::size_t miss_offset) const;
   void promote_to_head(BlockAddress block, CoreId core, Location from, Cycle now,
                        L2AccessOutcome& outcome);
   void migrate_one_step(BlockAddress block, CoreId core, Location from, Cycle now);
@@ -228,21 +202,6 @@ class DnucaCache {
   std::vector<std::size_t> round_robin_;        // per core: Parallel fill cursor
   common::FlatHash64<Location> residency_;      // block -> unique holding bank+way
   DnucaStats stats_;
-  // access_batch scratch (sized at construction; the batch path allocates
-  // nothing): per-core count of round-robin cursor consumers so far within
-  // the batch — misses *and* off-view hits both fill, so both advance the
-  // Parallel cursor — plus the per-lane probe-stage verdicts and bank/way
-  // hints the later pipeline stages consume.
-  // NOLINTNEXTLINE(bacp-snapshot-fields): batch scratch is dead outside one access_batch() call; never simulated state
-  std::vector<std::uint32_t> batch_miss_scratch_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields): batch scratch, as above
-  std::vector<BankId> batch_bank_scratch_;      // per lane: serving bank (hits)
-  // NOLINTNEXTLINE(bacp-snapshot-fields): batch scratch, as above
-  std::vector<std::uint16_t> batch_way_scratch_;  // per lane: hit way hint
-  // NOLINTNEXTLINE(bacp-snapshot-fields): batch scratch, as above
-  std::vector<BankId> batch_fill_scratch_;      // per lane: predicted fill bank
-  // NOLINTNEXTLINE(bacp-snapshot-fields): batch scratch, as above
-  std::vector<std::uint8_t> batch_miss_flag_;   // per lane: probe-stage verdict
 };
 
 }  // namespace bacp::nuca

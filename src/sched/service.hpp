@@ -130,11 +130,6 @@ class Service {
   const sim::System& system() const { return system_; }
   const ServiceConfig& config() const { return config_; }
 
-  /// Access-pipeline batch size passthrough (see sim::System::set_batch_size).
-  /// Pure speed dial — service history is identical for any value, so it is
-  /// deliberately outside ServiceConfig and service_digest().
-  void set_batch_size(std::uint32_t value) { system_.set_batch_size(value); }
-
   struct TenantStatus {
     std::uint64_t id = 0;
     CoreId slot = 0;

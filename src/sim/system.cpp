@@ -13,7 +13,6 @@
 #endif
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "partition/bank_aware.hpp"
 #include "partition/static_policies.hpp"
@@ -142,35 +141,13 @@ System::System(const SystemConfig& config, const trace::WorkloadMix& mix)
     l1_config.ways = config_.l1_ways;
     l1_config.num_cores = 1;
     l1_.emplace_back(l1_config);
-
-    trace::GeneratorConfig generator_config;
-    generator_config.num_sets = config_.sets_per_bank;
-    generator_config.max_depth = config_.geometry.total_ways();
-    generator_config.core = core;
     generators_.push_back(std::make_unique<trace::SyntheticTraceGenerator>(
-        model, generator_config, config_.seed));
-
+        model, generator_config(core), config_.seed));
     profilers_.push_back(std::make_unique<msa::StackProfiler>(config_.profiler));
-
-    core::CoreTimerConfig timer_config;
-    timer_config.base_cpi = model.base_cpi;
-    timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-    timer_config.mlp_window = std::clamp<std::uint32_t>(
-        static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-        config_.mshr.entries_per_core);
-    timer_config.gap_jitter = config_.gap_jitter;
-    timer_config.seed = config_.seed ^ 0x5175ULL;
-    timer_config.core = core;
-    timers_.push_back(std::make_unique<core::CoreTimer>(timer_config));
+    timers_.push_back(std::make_unique<core::CoreTimer>(timer_config(core, model, 0)));
   }
 
   streams_.resize(config_.geometry.num_cores);
-  // Batch depth is a speed dial, never a behavior knob (see
-  // set_batch_size); the env default reaches every driver, including ones
-  // that build systems internally.
-  set_batch_size(static_cast<std::uint32_t>(
-      common::env_u64("BACP_BATCH", kDefaultBatchSize)));
-
   snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
   last_epoch_instructions_.assign(config_.geometry.num_cores, 0.0);
   decayed_instructions_.assign(config_.geometry.num_cores, 0.0);
@@ -197,23 +174,10 @@ void System::reset_in_place(const trace::WorkloadMix& mix) {
     l1_[core].reset_in_place();
     generators_[core]->reset_in_place(model, config_.seed);
     profilers_[core]->reset_in_place();
-
-    // Same derivation as the constructor: the timer's gap model follows the
-    // slot's new workload.
-    core::CoreTimerConfig timer_config;
-    timer_config.base_cpi = model.base_cpi;
-    timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-    timer_config.mlp_window = std::clamp<std::uint32_t>(
-        static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-        config_.mshr.entries_per_core);
-    timer_config.gap_jitter = config_.gap_jitter;
-    timer_config.seed = config_.seed ^ 0x5175ULL;
-    timer_config.core = core;
-    timers_[core]->reset_in_place(timer_config);
+    // The timer's gap model follows the slot's new workload.
+    timers_[core]->reset_in_place(timer_config(core, model, 0));
   }
-  // Streams were flushed above; batch_size_ is an execution knob and
-  // deliberately survives the reset (like thread counts, it never affects
-  // results).
+  // Streams were flushed above.
   for (auto& stream : streams_) {
     stream.batch.size = 0;
     stream.cursor = 0;
@@ -230,6 +194,28 @@ void System::reset_in_place(const trace::WorkloadMix& mix) {
   epochs_ = 0;
   reset_epoch_tracking();
   audit_checkpoint("reset_in_place");
+}
+
+trace::GeneratorConfig System::generator_config(CoreId core) const {
+  trace::GeneratorConfig generator;
+  generator.num_sets = config_.sets_per_bank;
+  generator.max_depth = config_.geometry.total_ways();
+  generator.core = core;
+  return generator;
+}
+
+core::CoreTimerConfig System::timer_config(CoreId core, const trace::WorkloadModel& model,
+                                           std::uint64_t stream_salt) const {
+  core::CoreTimerConfig timer;
+  timer.base_cpi = model.base_cpi;
+  timer.instructions_per_l2_access = 1000.0 / model.l2_apki;
+  timer.mlp_window = std::clamp<std::uint32_t>(
+      static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
+      config_.mshr.entries_per_core);
+  timer.gap_jitter = config_.gap_jitter;
+  timer.seed = (config_.seed ^ 0x5175ULL) ^ stream_salt;
+  timer.core = core;
+  return timer;
 }
 
 void System::apply_policy_plan() {
@@ -390,18 +376,14 @@ void System::reset_epoch_tracking() {
   epoch_baseline_.noc_queue_cycles = noc_.stats().total_queue_cycles;
 }
 
-void System::set_batch_size(std::uint32_t batch) {
-  batch_size_ = std::clamp<std::uint32_t>(batch, 1, trace::AccessBatch::kMaxSize);
-}
-
 trace::MemoryAccess System::next_access(CoreId core) {
   CoreStream& stream = streams_[core];
   if (stream.cursor >= stream.batch.size) {
-    generators_[core]->next_batch(stream.batch, batch_size_);
+    generators_[core]->next_batch(stream.batch, trace::AccessBatch::kMaxSize);
     stream.cursor = 0;
-    // Front-half lookahead over the fresh batch: the L2 residency probes
-    // walk a multi-megabyte table, so a handful of prefetches here turns
-    // the upcoming dependent misses into overlapped ones.
+    // Lookahead over the fresh batch: the L2 residency probes walk a
+    // multi-megabyte table, so a handful of prefetches here turns the
+    // upcoming dependent misses into overlapped ones.
     const std::uint32_t lookahead = std::min<std::uint32_t>(8, stream.batch.size);
     for (std::uint32_t i = 0; i < lookahead; ++i) {
       l2_->prefetch(stream.batch.accesses[i].block);
@@ -634,23 +616,9 @@ void System::reset_core(CoreId core, std::string_view workload_name,
   // of the same workload in the session.
   flush_stream(core);  // defensive: drop any buffered departing-tenant accesses
   profilers_[core]->clear();
-  trace::GeneratorConfig generator_config;
-  generator_config.num_sets = config_.sets_per_bank;
-  generator_config.max_depth = config_.geometry.total_ways();
-  generator_config.core = core;
   generators_[core] = std::make_unique<trace::SyntheticTraceGenerator>(
-      model, generator_config, config_.seed ^ stream_salt);
-
-  core::CoreTimerConfig timer_config;
-  timer_config.base_cpi = model.base_cpi;
-  timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-  timer_config.mlp_window = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-      config_.mshr.entries_per_core);
-  timer_config.gap_jitter = config_.gap_jitter;
-  timer_config.seed = (config_.seed ^ 0x5175ULL) ^ stream_salt;
-  timer_config.core = core;
-  timers_[core]->rebind(timer_config);
+      model, generator_config(core), config_.seed ^ stream_salt);
+  timers_[core]->rebind(timer_config(core, model, stream_salt));
 
   // Join at current global time (an idle slot's clock may be far behind),
   // and start the slot's measurement and profile windows here.

@@ -144,35 +144,20 @@ class System {
   /// memory-intensive cores contribute proportionally more L2 traffic.
   void warm_up(std::uint64_t instructions_per_core);
 
-  /// Default trace batch depth (see set_batch_size); chosen by the
-  /// bench_perf_throughput batch sweep.
-  static constexpr std::uint32_t kDefaultBatchSize = 64;
-
-  /// Sets how many accesses each core's generator produces per refill of
-  /// its batched stream buffer (clamped to [1, AccessBatch::kMaxSize]).
-  /// Purely a performance knob — unconsumed buffers are rewound at every
-  /// run boundary, so the simulated trajectory, statistics and snapshots
-  /// are bit-identical across batch sizes. Not serialized and not part of
-  /// the config digest, like thread counts. BACP_BATCH overrides the
-  /// construction default.
-  void set_batch_size(std::uint32_t batch);
-  std::uint32_t batch_size() const { return batch_size_; }
-
   /// Measurement run over `instructions_per_core` instructions per core.
   /// May be called repeatedly; statistics accumulate across calls.
   void run(std::uint64_t instructions_per_core);
 
-  /// Functional warming (SMARTS-style): advances every active core by
-  /// `instructions_per_core` instructions exercising the *state* machinery
-  /// in full — generator streams, L1/L2/directory transitions, MSA
-  /// profiles, epoch-boundary repartitions — under a flat timing model (no
-  /// MLP window, no issue queue, no gap jitter; core RNG streams are not
-  /// consumed). Caches and profiles land where a detailed run would put
-  /// them up to timing-induced reorderings; clocks advance approximately.
-  /// Deterministic: identical state in, identical state out. Statistics
-  /// accumulate as under run() — fast-forwarded spans must be excluded
-  /// from measurement with reset_measurement(), which also re-establishes
-  /// the statistics-clean point save_state() requires.
+  /// Warming for sampled runs: advances every active core by
+  /// `instructions_per_core` instructions with the same machinery as run()
+  /// — APKI-derived quotas, the issue-time priority queue over the
+  /// CoreTimers (MLP window, gap jitter), epoch boundaries fired in global
+  /// time order — and drains the in-flight windows at the end. It only
+  /// skips the per-core quota snapshots, so the state it leaves is exactly
+  /// the state run() over the same span leaves. Statistics accumulate as
+  /// under run(): exclude warmed spans from measurement with
+  /// reset_measurement(), which also re-establishes the statistics-clean
+  /// point save_state() requires.
   void fast_forward(std::uint64_t instructions_per_core);
 
   /// Session-style stepping (the sched::Service run surface): advances the
@@ -347,17 +332,24 @@ class System {
     std::uint64_t noc_queue_cycles = 0;
   };
 
-  /// One core's buffered slice of its generator stream. Batches exist only
-  /// within execute()/step_epochs(): flush_streams() rewinds every
-  /// unconsumed suffix before control returns, so snapshots, workload
-  /// switches and core resets always see generators in their exact scalar
-  /// state.
+  /// One core's buffered slice of its generator stream, refilled
+  /// trace::AccessBatch::kMaxSize accesses at a time. Batches exist only
+  /// within execute()/fast_forward()/step_epochs(): flush_streams()
+  /// rewinds every unconsumed suffix before control returns, so snapshots,
+  /// workload switches and core resets always see generators in their
+  /// exact scalar state.
   struct CoreStream {
     trace::AccessBatch batch;
     std::uint32_t cursor = 0;
   };
 
   void execute(std::uint64_t instructions_per_core);
+  /// Trace-generator geometry for `core` (constructor and reset_core()).
+  trace::GeneratorConfig generator_config(CoreId core) const;
+  /// Timer parameters for `core` running `model`. `stream_salt` (0 for the
+  /// construction mix) decorrelates a rebound slot's jitter stream.
+  core::CoreTimerConfig timer_config(CoreId core, const trace::WorkloadModel& model,
+                                     std::uint64_t stream_salt) const;
   trace::MemoryAccess next_access(CoreId core);
   void flush_stream(CoreId core);
   void flush_streams();
@@ -388,8 +380,6 @@ class System {
   std::vector<std::unique_ptr<trace::SyntheticTraceGenerator>> generators_;
   // NOLINTNEXTLINE(bacp-snapshot-fields): transient batched-access buffers; flushed (and generators rewound) before any snapshot
   std::vector<CoreStream> streams_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): execution knob, not simulated state; survives resets like thread counts
-  std::uint32_t batch_size_ = kDefaultBatchSize;
   std::vector<std::unique_ptr<msa::StackProfiler>> profilers_;
   std::vector<std::unique_ptr<core::CoreTimer>> timers_;
 

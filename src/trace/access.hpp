@@ -16,14 +16,15 @@ struct MemoryAccess {
   bool is_write = false;
 };
 
-/// A fixed-capacity run of consecutive accesses from one stream — the unit
-/// the batched pipeline operates on. Produced by
+/// A fixed-capacity run of consecutive accesses from one stream: the unit
+/// sim::System refills each core's buffered stream with. Produced by
 /// SyntheticTraceGenerator::next_batch() and consumed front-to-back; the
 /// generator can rewind an unconsumed suffix (truncate_batch), so batching
-/// is invisible to simulated state. Sized so a full batch of blocks (2 KiB)
-/// plus the derived per-lane columns stays L1-resident.
+/// is invisible to simulated state. kMaxSize is the one refill depth System
+/// uses: 64 ran the Fig. 8 configuration ~10% faster than 1, and 16, 64 and
+/// 256 were within noise of each other (DESIGN.md section 11).
 struct AccessBatch {
-  static constexpr std::uint32_t kMaxSize = 256;
+  static constexpr std::uint32_t kMaxSize = 64;
   std::array<MemoryAccess, kMaxSize> accesses{};
   std::uint32_t size = 0;
 };

@@ -194,73 +194,6 @@ TEST_P(PartitionIsolation, DisjointPartitionsNeverInterfere) {
 INSTANTIATE_TEST_SUITE_P(WaySplits, PartitionIsolation,
                          ::testing::Values(1u, 2u, 4u, 6u, 7u));
 
-TEST(SetAssocCache, PeekVictimPredictsFillEviction) {
-  // peek_victim is the batched pipeline's prefetch planner: immediately
-  // before the matching fill it must name exactly the line fill() evicts —
-  // including the single-owned-way fast path (core 1 below) and the
-  // "invalid way available, no eviction" case.
-  SetAssocCache cache(tiny(4, 8, 3));
-  cache.set_way_partition(
-      {core_bit(0), core_bit(0), core_bit(1), core_bit(2) | core_bit(0)});
-  common::Rng rng(0xBEEF);
-  for (std::size_t i = 0; i < 50'000; ++i) {
-    const BlockAddress block = block_in(static_cast<std::uint32_t>(rng.next_below(8)),
-                                        rng.next_below(64), 8);
-    const CoreId core = static_cast<CoreId>(rng.next_below(3));
-    if (cache.probe(block)) {
-      cache.access(block, core, rng.next_bool(0.3));
-      continue;
-    }
-    const auto predicted = cache.peek_victim(block, core);
-    const auto result = cache.fill(block, core, false);
-    ASSERT_EQ(predicted.has_value(), result.evicted.has_value()) << "step " << i;
-    if (predicted.has_value()) {
-      ASSERT_EQ(*predicted, result.evicted->block) << "step " << i;
-    }
-    // holds_at certifies the install coordinate, and only that coordinate.
-    ASSERT_TRUE(cache.holds_at(block, result.way)) << "step " << i;
-    ASSERT_FALSE(cache.holds_at(block ^ 0x4000, result.way)) << "step " << i;
-  }
-}
-
-TEST(SetAssocCache, HoldsAtAgreesWithProbeEverywhere) {
-  SetAssocCache cache(tiny(4, 4, 2));
-  cache.set_way_partition(
-      {core_bit(0), core_bit(0), core_bit(1), core_bit(1)});
-  common::Rng rng(0x401D);
-  std::vector<BlockAddress> pool;
-  for (std::size_t i = 0; i < 20'000; ++i) {
-    BlockAddress block;
-    if (!pool.empty() && rng.next_bool(0.5)) {
-      block = pool[rng.next_below(pool.size())];
-    } else {
-      block = block_in(static_cast<std::uint32_t>(rng.next_below(4)),
-                       rng.next_below(32));
-      pool.push_back(block);
-    }
-    const CoreId core = static_cast<CoreId>(rng.next_below(2));
-    if (!cache.probe(block)) {
-      cache.fill(block, core, false);
-    } else if (rng.next_bool(0.2)) {
-      cache.invalidate(block);
-    } else {
-      cache.access(block, core, rng.next_bool(0.3));
-    }
-    if (i % 500 == 499) {
-      // holds_at over every (block, way) must reconstruct exactly probe():
-      // present iff some way certifies, and at most one way ever does.
-      for (const BlockAddress probe : pool) {
-        std::uint32_t certified = 0;
-        for (WayIndex way = 0; way < 4; ++way) {
-          if (cache.holds_at(probe, way)) ++certified;
-        }
-        ASSERT_LE(certified, 1u) << "block " << probe;
-        ASSERT_EQ(cache.probe(probe), certified == 1) << "block " << probe;
-      }
-    }
-  }
-}
-
 TEST(CacheStats, AggregationAndClear) {
   CacheStats stats(2);
   stats.hits[0] = 3;

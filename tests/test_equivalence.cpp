@@ -11,7 +11,7 @@
 //     widths;
 //   - trace::SyntheticTraceGenerator (ring-buffer recency lists) vs. a
 //     vector-of-vectors erase/insert formulation, including a mid-stream
-//     model switch;
+//     model switch; and batched refills with truncation vs. scalar next();
 //   - core::CoreTimer (min-heap on done_at, in-place window scans) vs. a
 //     multiset-ordered formulation of the original pop-loop semantics;
 //   - nuca::DnucaCache residency index (exact {bank, way}) vs. brute-force
@@ -39,6 +39,7 @@
 #include "partition/static_policies.hpp"
 #include "sim/system.hpp"
 #include "sim/system_config.hpp"
+#include "snapshot/codec.hpp"
 #include "trace/mix.hpp"
 #include "trace/spec2000.hpp"
 #include "trace/synthetic.hpp"
@@ -542,6 +543,65 @@ TEST(GeneratorEquivalence, RingBufferMatchesVectorListsAcrossModelSwitch) {
   }
 }
 
+std::vector<std::uint8_t> generator_bytes(const trace::SyntheticTraceGenerator& generator) {
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  generator.save_state(writer);
+  return bytes;
+}
+
+TEST(GeneratorEquivalence, BatchedRefillWithTruncationMatchesScalarStream) {
+  // sim::System refills each core's stream with next_batch() and rewinds
+  // the unconsumed suffix with truncate_batch() before any snapshot, model
+  // switch or core reset. Random cut points must never leak into simulated
+  // state: the consumed accesses and the snapshot bytes equal those of a
+  // generator advanced by scalar next().
+  const auto& model_a = trace::spec2000_by_name("gcc");
+  const auto& model_b = trace::spec2000_by_name("swim");
+  trace::GeneratorConfig config;
+  config.num_sets = 64;
+  config.max_depth = 48;  // not a power of two: exercises ring wrap
+  config.core = 2;
+  trace::SyntheticTraceGenerator batched(model_a, config, 91);
+  trace::SyntheticTraceGenerator scalar(model_a, config, 91);
+
+  constexpr std::uint32_t kSizes[] = {1, 7, trace::AccessBatch::kMaxSize};
+  constexpr std::size_t kRefills = 6'000;
+  common::Rng rng(0xBA7C);
+  trace::AccessBatch batch;
+  std::uint32_t outstanding = 0;  // size of a fully consumed, unretired batch
+  const auto retire = [&] {
+    if (batched.batch_outstanding()) batched.truncate_batch(outstanding);
+  };
+  for (std::size_t refill = 0; refill < kRefills; ++refill) {
+    if (refill == kRefills / 2) {
+      retire();
+      batched.switch_model(model_b);
+      scalar.switch_model(model_b);
+    }
+    const std::uint32_t n = kSizes[rng.next_below(3)];
+    const auto consumed = static_cast<std::uint32_t>(rng.next_below(n + 1));
+    batched.next_batch(batch, n);
+    ASSERT_EQ(batch.size, n);
+    for (std::uint32_t i = 0; i < consumed; ++i) {
+      const auto want = scalar.next();
+      ASSERT_EQ(batch.accesses[i].block, want.block) << "refill " << refill << " lane " << i;
+      ASSERT_EQ(batch.accesses[i].core, want.core) << "refill " << refill << " lane " << i;
+      ASSERT_EQ(batch.accesses[i].is_write, want.is_write)
+          << "refill " << refill << " lane " << i;
+    }
+    // A fully consumed batch may stay outstanding: the next refill retires it.
+    outstanding = n;
+    if (consumed < n || rng.next_bool(0.5)) batched.truncate_batch(consumed);
+    if (!batched.batch_outstanding() && refill % 64 == 0) {
+      ASSERT_EQ(generator_bytes(batched), generator_bytes(scalar)) << "refill " << refill;
+    }
+  }
+  retire();
+  EXPECT_EQ(generator_bytes(batched), generator_bytes(scalar));
+  EXPECT_EQ(batched.blocks_allocated(), scalar.blocks_allocated());
+}
+
 // ---------------------------------------------------------------------------
 // Reference core timer: multiset-ordered window (the original
 // priority-queue formulation's semantics) vs. the in-place heap scans.
@@ -738,206 +798,6 @@ TEST(DnucaEquivalence, ResidencyIndexMatchesBruteForceProbesCascade) {
   // Cascade demotes down bank chains and swaps on promotion — the paths
   // that rewrite residency {bank, way} pairs most aggressively.
   check_residency_index(nuca::AggregationKind::Cascade, 0xCA5C);
-}
-
-// ---------------------------------------------------------------------------
-// Batched access pipeline vs. one-at-a-time scalar access.
-// ---------------------------------------------------------------------------
-
-/// Drives two identical DnucaCache instances over the same access stream —
-/// one through scalar access(), one through access_batch() cut into
-/// `batch_size` chunks (the final chunk is a tail whenever batch_size does
-/// not divide the stream) — and requires bit-identical outcomes, statistics
-/// and structural state. This is the pipeline's correctness contract: the
-/// batch front half may predict and prefetch whatever it likes, but the
-/// replay must leave nothing distinguishable from scalar execution.
-void check_batch_equivalence(nuca::AggregationKind kind, std::uint32_t batch_size,
-                             std::size_t accesses, std::uint64_t seed) {
-  nuca::DnucaConfig config;
-  config.geometry.num_cores = 4;
-  config.geometry.num_banks = 8;
-  config.geometry.ways_per_bank = 4;
-  config.sets_per_bank = 32;
-  config.aggregation = kind;
-  noc::NocConfig noc_config;
-  noc_config.num_cores = 4;
-  noc_config.num_banks = 8;
-  noc::Noc noc_scalar(noc_config);
-  noc::Noc noc_batched(noc_config);
-  nuca::DnucaCache scalar(config, noc_scalar);
-  nuca::DnucaCache batched(config, noc_batched);
-  // SharedDnuca hashes fills over all banks, so every core must own ways
-  // everywhere; the partitioned kinds run the paper's even split.
-  const auto assignment =
-      kind == nuca::AggregationKind::SharedDnuca
-          ? partition::no_partition(config.geometry).assignment
-          : partition::equal_partition(config.geometry).assignment;
-  scalar.apply_assignment(assignment);
-  batched.apply_assignment(assignment);
-
-  // Column inputs with a mid-stream hot pool: plenty of in-view hits,
-  // off-view hits (cores round-robin over a shared pool) and misses.
-  common::Rng rng(seed);
-  std::vector<BlockAddress> blocks(accesses);
-  std::vector<CoreId> cores(accesses);
-  std::vector<bacp::Cycle> times(accesses);
-  std::vector<bool> write_bits(accesses);
-  std::vector<BlockAddress> pool;
-  for (std::size_t i = 0; i < accesses; ++i) {
-    if (!pool.empty() && rng.next_bool(0.6)) {
-      blocks[i] = pool[rng.next_below(pool.size())];
-    } else {
-      blocks[i] = rng.next_u64() & 0x3FFF;
-      pool.push_back(blocks[i]);
-    }
-    cores[i] = static_cast<CoreId>(rng.next_below(config.geometry.num_cores));
-    write_bits[i] = rng.next_bool(0.3);
-    times[i] = static_cast<bacp::Cycle>(i * 3);
-  }
-
-  std::vector<nuca::L2AccessOutcome> scalar_outcomes(accesses);
-  for (std::size_t i = 0; i < accesses; ++i) {
-    scalar_outcomes[i] = scalar.access(blocks[i], cores[i], write_bits[i], times[i]);
-  }
-
-  // access_batch takes a raw bool column; std::vector<bool> is packed.
-  std::vector<char> write_column(write_bits.begin(), write_bits.end());
-  std::vector<nuca::L2AccessOutcome> batched_outcomes(accesses);
-  for (std::size_t start = 0; start < accesses; start += batch_size) {
-    const std::uint32_t count = static_cast<std::uint32_t>(
-        std::min<std::size_t>(batch_size, accesses - start));
-    batched.access_batch(blocks.data() + start, cores.data() + start,
-                         reinterpret_cast<const bool*>(write_column.data()) + start,
-                         times.data() + start, count, batched_outcomes.data() + start);
-  }
-
-  for (std::size_t i = 0; i < accesses; ++i) {
-    const auto& a = scalar_outcomes[i];
-    const auto& b = batched_outcomes[i];
-    ASSERT_EQ(a.hit, b.hit) << "access " << i;
-    ASSERT_EQ(a.bank, b.bank) << "access " << i;
-    ASSERT_EQ(a.ready_at, b.ready_at) << "access " << i;
-    ASSERT_EQ(a.directory_lookups, b.directory_lookups) << "access " << i;
-    ASSERT_EQ(a.evicted.size(), b.evicted.size()) << "access " << i;
-    for (std::size_t e = 0; e < a.evicted.size(); ++e) {
-      ASSERT_EQ(a.evicted[e].block, b.evicted[e].block) << "access " << i;
-      ASSERT_EQ(a.evicted[e].dirty, b.evicted[e].dirty) << "access " << i;
-    }
-  }
-
-  ASSERT_EQ(scalar.stats().hits, batched.stats().hits);
-  ASSERT_EQ(scalar.stats().misses, batched.stats().misses);
-  ASSERT_EQ(scalar.stats().promotions, batched.stats().promotions);
-  ASSERT_EQ(scalar.stats().demotions, batched.stats().demotions);
-  ASSERT_EQ(scalar.stats().directory_lookups, batched.stats().directory_lookups);
-  ASSERT_EQ(scalar.stats().offview_hits, batched.stats().offview_hits);
-
-  // Structural state: every touched block resides in the same place, and
-  // both instances pass the full structural audit.
-  for (const BlockAddress block : pool) {
-    ASSERT_EQ(scalar.bank_of(block), batched.bank_of(block)) << "block " << block;
-  }
-  const auto report = audit::audit_nuca(batched);
-  ASSERT_TRUE(report.ok()) << report.to_string();
-}
-
-TEST(BatchEquivalence, BatchSizeOneMatchesScalarParallel) {
-  check_batch_equivalence(nuca::AggregationKind::Parallel, 1, 20'000, 0xBA7C);
-}
-
-TEST(BatchEquivalence, SmallBatchesWithTailsParallel) {
-  // 7 leaves a tail on nearly every chunk boundary of a 20'000 stream.
-  check_batch_equivalence(nuca::AggregationKind::Parallel, 7, 20'000, 0xBA7C);
-}
-
-TEST(BatchEquivalence, FullBatchesParallel) {
-  check_batch_equivalence(nuca::AggregationKind::Parallel, 64, 50'000, 0xBA7C);
-}
-
-TEST(BatchEquivalence, MaxBatchParallel) {
-  check_batch_equivalence(nuca::AggregationKind::Parallel,
-                          nuca::DnucaCache::kMaxBatch, 50'000, 0xBA7C);
-}
-
-TEST(BatchEquivalence, FullBatchesCascade) {
-  // Cascade exercises promotion/demotion chains in the replay; the batch
-  // front half's Parallel fill predictions are useless here — the contract
-  // is that useless predictions still change nothing.
-  check_batch_equivalence(nuca::AggregationKind::Cascade, 64, 30'000, 0xCA5C);
-}
-
-TEST(BatchEquivalence, FullBatchesSharedDnuca) {
-  // SharedDnuca migrates a block one bank closer on every hit — the worst
-  // case for stale bank/way hints: every certified-replay hint must still
-  // be verified against the bank before it is trusted.
-  check_batch_equivalence(nuca::AggregationKind::SharedDnuca, 64, 30'000, 0x5DCA);
-}
-
-TEST(BatchEquivalence, RepartitionBetweenBatches) {
-  // Repartitioning mid-stream creates off-view residents — the hint paths
-  // where a batch's predicted fill banks and the replay's actual cursor
-  // consumption have to stay in lockstep.
-  nuca::DnucaConfig config;
-  config.geometry.num_cores = 4;
-  config.geometry.num_banks = 8;
-  config.geometry.ways_per_bank = 4;
-  config.sets_per_bank = 16;
-  config.aggregation = nuca::AggregationKind::Parallel;
-  noc::NocConfig noc_config;
-  noc_config.num_cores = 4;
-  noc_config.num_banks = 8;
-  noc::Noc noc_scalar(noc_config);
-  noc::Noc noc_batched(noc_config);
-  nuca::DnucaCache scalar(config, noc_scalar);
-  nuca::DnucaCache batched(config, noc_batched);
-
-  common::Rng rng(0x9EBA);
-  const std::size_t phases = 8;
-  const std::size_t per_phase = 4'096;
-  for (std::size_t phase = 0; phase < phases; ++phase) {
-    // Alternate between the even split and the unpartitioned baseline:
-    // blocks placed anywhere under no_partition become off-view residents
-    // the moment the even split comes back.
-    const auto assignment =
-        phase % 2 == 0 ? partition::equal_partition(config.geometry).assignment
-                       : partition::no_partition(config.geometry).assignment;
-    scalar.apply_assignment(assignment);
-    batched.apply_assignment(assignment);
-
-    std::vector<BlockAddress> blocks(per_phase);
-    std::vector<CoreId> cores(per_phase);
-    std::vector<bacp::Cycle> times(per_phase);
-    std::vector<char> write_column(per_phase);
-    for (std::size_t i = 0; i < per_phase; ++i) {
-      blocks[i] = rng.next_u64() & 0xFFF;
-      cores[i] = static_cast<CoreId>(rng.next_below(config.geometry.num_cores));
-      write_column[i] = rng.next_bool(0.2) ? 1 : 0;
-      times[i] = static_cast<bacp::Cycle>((phase * per_phase + i) * 2);
-    }
-
-    std::vector<nuca::L2AccessOutcome> outcomes(per_phase);
-    for (std::size_t start = 0; start < per_phase;
-         start += nuca::DnucaCache::kMaxBatch) {
-      const std::uint32_t count = static_cast<std::uint32_t>(
-          std::min<std::size_t>(nuca::DnucaCache::kMaxBatch, per_phase - start));
-      batched.access_batch(blocks.data() + start, cores.data() + start,
-                           reinterpret_cast<const bool*>(write_column.data()) + start,
-                           times.data() + start, count, outcomes.data() + start);
-    }
-    for (std::size_t i = 0; i < per_phase; ++i) {
-      const auto expected =
-          scalar.access(blocks[i], cores[i], write_column[i] != 0, times[i]);
-      ASSERT_EQ(expected.hit, outcomes[i].hit) << "phase " << phase << " i " << i;
-      ASSERT_EQ(expected.bank, outcomes[i].bank) << "phase " << phase << " i " << i;
-      ASSERT_EQ(expected.ready_at, outcomes[i].ready_at)
-          << "phase " << phase << " i " << i;
-    }
-  }
-  ASSERT_EQ(scalar.stats().offview_hits, batched.stats().offview_hits);
-  ASSERT_GT(batched.stats().offview_hits, 0u)
-      << "repartition stream never exercised the off-view path";
-  const auto report = audit::audit_nuca(batched);
-  ASSERT_TRUE(report.ok()) << report.to_string();
 }
 
 // ---------------------------------------------------------------------------
