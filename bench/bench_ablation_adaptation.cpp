@@ -17,8 +17,8 @@
 // --threads value.
 //
 // Flags: --instr (per phase), --epoch, --threads, --no-snapshot-reuse,
-// --shared-warmup, --json-out, --csv-out (legacy env knobs BACP_SIM_INSTR,
-// BACP_SIM_EPOCH, BACP_THREADS still work).
+// --json-out, --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_EPOCH,
+// BACP_THREADS still work).
 
 #include <iostream>
 #include <vector>

@@ -12,8 +12,8 @@
 // byte-identical for any --threads value.
 //
 // Flags: --warmup, --instr, --seed, --threads, --no-snapshot-reuse,
-// --shared-warmup, --json-out, --csv-out (legacy env knobs
-// BACP_SIM_{WARMUP,INSTR,SEED} and BACP_THREADS still work).
+// --json-out, --csv-out (legacy env knobs BACP_SIM_{WARMUP,INSTR,SEED} and
+// BACP_THREADS still work).
 
 #include <iostream>
 #include <vector>

@@ -7,9 +7,9 @@
 // snapshot-aware thread pool; rows are emitted in sweep order, so the
 // artifact is byte-identical for any --threads value.
 //
-// Flags: --instr, --seed, --threads, --no-snapshot-reuse, --shared-warmup,
-// --json-out, --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_SEED,
-// BACP_THREADS still work).
+// Flags: --instr, --seed, --threads, --no-snapshot-reuse, --json-out,
+// --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_SEED, BACP_THREADS
+// still work).
 
 #include <iostream>
 #include <vector>

@@ -12,16 +12,15 @@
 namespace bacp::harness {
 
 std::vector<std::pair<std::string, std::string>> DetailedRunConfig::cli_flags() {
-  std::vector<std::pair<std::string, std::string>> spec = {
+  return {
       value_flag(kWarmupKnob),
       value_flag(kInstrKnob),
       value_flag(kEpochKnob),
       value_flag(kSimSeedKnob),
+      value_flag(kThreadsKnob),
+      value_flag(kSnapshotBankKnob),
+      bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
   };
-  for (auto& row : VariantSweepOptions::cli_flags()) {
-    spec.push_back(std::move(row));
-  }
-  return spec;
 }
 
 DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) {
@@ -30,7 +29,10 @@ DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) 
   config.measure_instructions = read_u64(parser, kInstrKnob, config.measure_instructions);
   config.epoch_cycles = read_u64(parser, kEpochKnob, config.epoch_cycles);
   config.seed = read_u64(parser, kSimSeedKnob, config.seed);
-  return config.with_sweep(VariantSweepOptions::from_args(parser));
+  config.num_threads = read_threads(parser, config.num_threads);
+  config.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
+  config.snapshot_bank = read_string(parser, kSnapshotBankKnob, config.snapshot_bank);
+  return config;
 }
 
 trace::WorkloadMix ExperimentSet::mix() const { return trace::mix_from_names(benchmarks); }
@@ -95,7 +97,7 @@ sim::SystemResults run_policy(sim::PolicyKind policy, const trace::WorkloadMix& 
   system_config.finalize();
 
   sim::System system(system_config, mix);
-  warm_system(system, mix, config.warmup_instructions, cache, config.shared_warmup);
+  warm_system(system, mix, config.warmup_instructions, cache);
   {
     const auto timer = obs::global_phase_timers().scope("simulate");
     system.run(config.measure_instructions);

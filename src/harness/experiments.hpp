@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/args.hpp"
-#include "harness/snapshot_cache.hpp"
 #include "nuca/dnuca_cache.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
@@ -44,9 +43,6 @@ struct DetailedRunConfig {
   /// into every run sharing it. Exact restore: artifacts stay byte-for-byte
   /// identical to cold per-run warm-up (--no-snapshot-reuse disables).
   bool snapshot_reuse = true;
-  /// Opt-in (--shared-warmup): one policy-neutral warm-up per (mix, scale)
-  /// adopted into every policy variant. Results change by design.
-  bool shared_warmup = false;
   /// Directory for file-backed warm-state snapshots shared across processes
   /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
   std::string snapshot_bank;
@@ -71,10 +67,6 @@ struct DetailedRunConfig {
     seed = value;
     return *this;
   }
-  /// Deprecated spellings kept for source compatibility: the sweep-execution
-  /// knobs (threads, snapshot reuse, shared warm-up) are one shared struct
-  /// now — prefer with_sweep() / sweep_options() so every harness, including
-  /// sched::Service drivers, plumbs them identically.
   DetailedRunConfig& with_num_threads(std::size_t value) {
     num_threads = value;
     return *this;
@@ -83,34 +75,17 @@ struct DetailedRunConfig {
     snapshot_reuse = value;
     return *this;
   }
-  DetailedRunConfig& with_shared_warmup(bool value) {
-    shared_warmup = value;
-    return *this;
-  }
 
-  DetailedRunConfig& with_sweep(const VariantSweepOptions& sweep) {
-    num_threads = sweep.num_threads;
-    snapshot_reuse = sweep.snapshot_reuse;
-    shared_warmup = sweep.shared_warmup;
-    snapshot_bank = sweep.snapshot_bank;
-    return *this;
-  }
-  VariantSweepOptions sweep_options() const {
-    return VariantSweepOptions{}
-        .with_num_threads(num_threads)
-        .with_snapshot_reuse(snapshot_reuse)
-        .with_shared_warmup(shared_warmup)
-        .with_snapshot_bank(snapshot_bank);
-  }
-
-  /// The standard scale flags (--warmup, --instr, --epoch, --seed,
-  /// --threads, --no-snapshot-reuse, --shared-warmup) for binaries that
-  /// drive detailed simulations; pair with from_args().
+  /// The standard scale flags (--warmup, --instr, --epoch, --seed) plus the
+  /// sweep knobs detailed runs honour (--threads, --snapshot-bank,
+  /// --no-snapshot-reuse) for binaries that drive detailed simulations;
+  /// pair with from_args(). --pool and --mmap are not offered: every policy
+  /// run builds its own System and reads the bank through the default path.
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the
-  /// legacy BACP_SIM_{WARMUP,INSTR,EPOCH,SEED} environment knobs, then the
-  /// built-in defaults.
+  /// BACP_SIM_{WARMUP,INSTR,EPOCH,SEED}, BACP_THREADS and BACP_SNAPSHOT_BANK
+  /// environment knobs, then the built-in defaults.
   static DetailedRunConfig from_args(const common::ArgParser& parser);
 };
 

@@ -168,7 +168,6 @@ std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags(
       value_flag(kPoolKnob),
       value_flag(kMmapKnob),
       bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
-      bool_flag("shared-warmup", "one policy-neutral warm-up per mix (changes results)"),
   };
 }
 
@@ -176,7 +175,6 @@ VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& pars
   VariantSweepOptions options;
   options.num_threads = read_threads(parser, options.num_threads);
   options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
-  options.shared_warmup = parser.get_bool_or_fail("shared-warmup", false);
   options.snapshot_bank = read_string(parser, kSnapshotBankKnob, options.snapshot_bank);
   options.pool = read_toggle(parser, kPoolKnob, options.pool);
   options.mmap = read_toggle(parser, kMmapKnob, options.mmap);
@@ -195,23 +193,10 @@ std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instru
 }
 
 void warm_system(sim::System& system, const trace::WorkloadMix& mix,
-                 std::uint64_t warmup_instructions, SnapshotCache* cache,
-                 bool shared_warmup) {
+                 std::uint64_t warmup_instructions, SnapshotCache* cache) {
   if (cache == nullptr) {
     const auto timer = obs::global_phase_timers().scope("warmup");
     system.warm_up(warmup_instructions);
-    return;
-  }
-  if (shared_warmup) {
-    const std::uint64_t key =
-        warmup_key(sim::warm_state_digest(system.config(), mix), warmup_instructions);
-    const auto snapshot = cache->get_or_warm(key, [&] {
-      const auto timer = obs::global_phase_timers().scope("warmup");
-      sim::System canonical(sim::canonical_warm_config(system.config()), mix);
-      canonical.warm_up(warmup_instructions);
-      return canonical.save_state();
-    });
-    system.adopt_warm_state(*snapshot);
     return;
   }
   const std::uint64_t key =
@@ -248,8 +233,7 @@ void run_variant_sweep(std::span<const SweepVariant> variants,
       local.emplace(variant.config, mix);
     }
     sim::System& system = options.pool ? *lease : *local;
-    warm_system(system, mix, variant.warmup_instructions, cache_ptr,
-                options.shared_warmup);
+    warm_system(system, mix, variant.warmup_instructions, cache_ptr);
     body(system, index);
   });
 }

@@ -85,21 +85,17 @@ class SnapshotCache {
 };
 
 /// Cache key for a warm-up: warm state is a pure function of the config
-/// digest (sim::config_digest or sim::warm_state_digest) and the number of
-/// warm-up instructions, so the key folds both together.
+/// digest (sim::config_digest) and the number of warm-up instructions, so
+/// the key folds both together.
 std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instructions);
 
 /// Brings `system` to its warm starting point. With `cache == nullptr` this
-/// is a plain cold warm-up. With a cache and `shared_warmup == false`, the
-/// warm-up runs once per exact warm-state fingerprint
-/// (sim::config_digest + warm-up length) and the system is restored
-/// bit-identically from the snapshot — artifacts are byte-for-byte the same
-/// as cold warm-up. With `shared_warmup == true`, one policy-neutral warm-up
-/// per (mix, scale) under sim::canonical_warm_config() is adopted into every
-/// variant via System::adopt_warm_state() — results change by design.
+/// is a plain cold warm-up. With a cache, the warm-up runs once per exact
+/// warm-state fingerprint (sim::config_digest + warm-up length) and the
+/// system is restored bit-identically from the snapshot — artifacts are
+/// byte-for-byte the same as cold warm-up.
 void warm_system(sim::System& system, const trace::WorkloadMix& mix,
-                 std::uint64_t warmup_instructions, SnapshotCache* cache,
-                 bool shared_warmup);
+                 std::uint64_t warmup_instructions, SnapshotCache* cache);
 
 /// One point of a configuration sweep: a finalized config plus its warm-up
 /// length, labelled for reports.
@@ -116,9 +112,6 @@ struct VariantSweepOptions {
   /// Warm once per distinct warm-state fingerprint and fork the snapshot
   /// (byte-identical to cold warm-up); off = always warm cold.
   bool snapshot_reuse = true;
-  /// Opt-in: share one canonical warm-up across all variants of a mix
-  /// (changes results by design — see warm_system()).
-  bool shared_warmup = false;
   /// Directory for file-backed warm snapshots shared across processes
   /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
   std::string snapshot_bank;
@@ -142,10 +135,6 @@ struct VariantSweepOptions {
     snapshot_reuse = value;
     return *this;
   }
-  VariantSweepOptions& with_shared_warmup(bool value) {
-    shared_warmup = value;
-    return *this;
-  }
   VariantSweepOptions& with_pool(bool value) {
     pool = value;
     return *this;
@@ -156,10 +145,8 @@ struct VariantSweepOptions {
   }
 
   /// The shared sweep-execution flags (--threads, --no-snapshot-reuse,
-  /// --shared-warmup, ...); every sweep binary takes exactly these, and
-  /// the config structs that embed sweep knobs
-  /// (DetailedRunConfig, sched::ServiceConfig drivers) forward here
-  /// instead of re-declaring them. Pair with from_args().
+  /// --snapshot-bank, --pool, --mmap); every run_variant_sweep() binary
+  /// takes exactly these. Pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
   /// Standard precedence: explicit flag, then BACP_THREADS, then defaults.

@@ -351,8 +351,8 @@ void DnucaCache::clear_stats() {
 }
 
 void DnucaCache::save_state(snapshot::Writer& writer) const {
-  // Shape fields only — aggregation is a behavior knob, and shared-warmup
-  // deliberately adopts warm contents across aggregation variants.
+  // Shape fields only — aggregation is a behavior knob that the snapshot's
+  // config digest already pins.
   writer.u32(config_.geometry.num_banks);
   writer.u32(config_.geometry.num_cores);
   for (const auto& bank : banks_) bank.save_state(writer);

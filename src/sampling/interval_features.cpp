@@ -96,7 +96,7 @@ WorkloadIntervalProfile profile_workload_intervals(
   msa::StackProfiler profiler(config.profiler);
 
   // Equal-instruction intervals -> APKI-proportional access counts, the
-  // same quota rule execute() applies.
+  // same quota rule System::run() applies.
   const std::uint64_t accesses_per_interval = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              static_cast<double>(intervals.interval_instructions) * model.l2_apki /

@@ -152,10 +152,11 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
         system.warm_up(run.warmup_instructions);
         warmed = true;
       }
-      for (; pos < medoid; ++pos) system.fast_forward(run.interval_instructions);
-      // fast_forward accumulates statistics and fires epoch boundaries;
-      // re-arm the measurement window so the snapshot is statistics-clean
-      // (save_state's precondition) and the interval measures only itself.
+      for (; pos < medoid; ++pos) system.run(run.interval_instructions);
+      // The skipped intervals accumulated statistics and fired epoch
+      // boundaries; re-arm the measurement window so the snapshot is
+      // statistics-clean (save_state's precondition) and the interval
+      // measures only itself.
       system.reset_measurement();
       return system.save_state();
     };

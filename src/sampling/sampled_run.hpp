@@ -94,7 +94,7 @@ SamplingPlan plan_mix(const sim::SystemConfig& config, const trace::WorkloadMix&
 /// The tentpole engine: plans the mix, then simulates only the medoid
 /// intervals in detail — each entered by restoring a snapshot of the
 /// interval boundary, produced on first need by detailed warm-up plus
-/// System::fast_forward functional warming over the skipped intervals and
+/// System::run over the skipped intervals (the loop that measures them) and
 /// keyed by the fold chain (config digest, run shape, medoid prefix), so a
 /// boundary state is warmed at most once per store no matter how many
 /// trials, threads or processes share it. Returns the population-weighted

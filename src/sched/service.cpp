@@ -67,8 +67,7 @@ Service::Service(const ServiceConfig& config, const trace::WorkloadMix& substrat
       substrate_mix_(substrate_mix),
       system_(config_.system, substrate_mix_) {
   if (config_.warmup_instructions > 0) {
-    harness::warm_system(system_, substrate_mix_, config_.warmup_instructions,
-                         warm_cache, /*shared_warmup=*/false);
+    harness::warm_system(system_, substrate_mix_, config_.warmup_instructions, warm_cache);
   }
   // The substrate workloads only warm the hierarchy; tenants exist solely
   // through admit(). All slots start idle.

@@ -466,62 +466,71 @@ Cycle System::serve_access(CoreId core, Cycle issue_time) {
   return data_ready;
 }
 
-void System::execute(std::uint64_t instructions_per_core) {
+void System::drive(Stop stop, std::uint64_t count) {
   struct QueueEntry {
     Cycle issue_at;
     CoreId core;
     bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
   };
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
+  const bool quota = stop == Stop::Quota;
   // Equal instruction slices (the paper's methodology): each core's access
   // quota follows its APKI, so per-policy total miss counts weight each
   // workload by its real memory intensity. Quotas follow the *currently
   // bound* workload (reset_core() may have replaced the construction mix).
   // Inactive slots get no quota and never enter the queue.
   const auto& suite = trace::spec2000_suite();
-  std::vector<std::uint64_t> remaining(config_.geometry.num_cores, 0);
-  std::uint32_t unfinished = 0;
+  std::vector<std::uint64_t> remaining(quota ? config_.geometry.num_cores : 0, 0);
+  // Quota stop: cores still short of their quota. Epoch stop: boundaries
+  // still to fire.
+  std::uint64_t unfinished = quota ? 0 : count;
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
     if (active_[core] == 0) continue;
-    const double apki = suite.at(bound_workloads_[core]).l2_apki;
-    remaining[core] = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(instructions_per_core) *
-                                      apki / 1000.0));
-    ++unfinished;
+    if (quota) {
+      const double apki = suite.at(bound_workloads_[core]).l2_apki;
+      remaining[core] = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(static_cast<double>(count) * apki / 1000.0));
+      ++unfinished;
+    }
     queue.push({timers_[core]->peek_issue(), core});
   }
 
-  // Co-scheduled slices: every core keeps executing (and keeps polluting
-  // the shared structures and feeding its profiler) until the *slowest*
-  // core completes its quota — a fast core finishing early and going quiet
-  // would both starve its own profile of samples and unrealistically
-  // relieve its co-runners of interference for the tail of the run.
-  // Per-core statistics snapshot at quota completion, so reported counts
-  // always cover exactly `l2_accesses_per_core` accesses per core.
+  // Co-scheduled slices (quota stop): every core keeps executing (and keeps
+  // polluting the shared structures and feeding its profiler) until the
+  // *slowest* core completes its quota — a fast core finishing early and
+  // going quiet would both starve its own profile of samples and
+  // unrealistically relieve its co-runners of interference for the tail of
+  // the run. Per-core statistics snapshot at quota completion, so reported
+  // counts always cover exactly `l2_accesses_per_core` accesses per core.
   while (unfinished > 0) {
-    const auto entry = queue.top();
     // Epoch boundaries fire in global time order, before any access that
-    // crosses them.
-    if (entry.issue_at >= next_epoch_) {
+    // crosses them — and over an idle machine, whose queue is empty.
+    if (queue.empty() || queue.top().issue_at >= next_epoch_) {
       run_epoch_boundary();
       next_epoch_ += config_.epoch_cycles;
+      if (!quota) --unfinished;
       continue;
     }
+    const auto entry = queue.top();
     queue.pop();
 
     const Cycle issue_time = timers_[entry.core]->advance_to_issue();
     const Cycle done_at = serve_access(entry.core, issue_time);
     timers_[entry.core]->record_completion(done_at);
 
-    if (remaining[entry.core] > 0 && --remaining[entry.core] == 0) {
+    if (quota && remaining[entry.core] > 0 && --remaining[entry.core] == 0) {
       snapshot_core(entry.core);
       --unfinished;
     }
     if (unfinished > 0) queue.push({timers_[entry.core]->peek_issue(), entry.core});
   }
   // Rewind unconsumed batch suffixes before handing control back: outside
-  // execute, generators are always in their exact scalar state.
+  // drive(), generators are always in their exact scalar state.
   flush_streams();
+  // The epoch stop never drains: the in-flight windows carry across calls,
+  // so stepping one epoch at a time is the same trajectory as stepping them
+  // all at once.
+  if (!quota) return;
   for (auto& timer : timers_) timer->drain();
   audit_checkpoint("end of run");
 }
@@ -537,7 +546,7 @@ void System::snapshot_core(CoreId core) {
   snapshots_[core] = snapshot;
 }
 
-void System::clear_all_stats() {
+void System::reset_measurement() {
   l2_->clear_stats();
   dram_.clear_stats();
   noc_.clear_stats();
@@ -557,40 +566,15 @@ void System::switch_workload(CoreId core, std::string_view workload_name) {
 }
 
 void System::warm_up(std::uint64_t instructions_per_core) {
-  execute(instructions_per_core);
-  clear_all_stats();
+  run(instructions_per_core);
+  reset_measurement();
 }
 
-void System::step_epochs(std::uint64_t epochs) {
-  struct QueueEntry {
-    Cycle issue_at;
-    CoreId core;
-    bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    if (active_[core] != 0) queue.push({timers_[core]->peek_issue(), core});
-  }
-  // No quotas and no end-of-run drain: the in-flight windows carry across
-  // calls, so stepping one epoch at a time is the same trajectory as
-  // stepping them all at once.
-  std::uint64_t fired = 0;
-  while (fired < epochs) {
-    if (queue.empty() || queue.top().issue_at >= next_epoch_) {
-      run_epoch_boundary();
-      next_epoch_ += config_.epoch_cycles;
-      ++fired;
-      continue;
-    }
-    const auto entry = queue.top();
-    queue.pop();
-    const Cycle issue_time = timers_[entry.core]->advance_to_issue();
-    const Cycle done_at = serve_access(entry.core, issue_time);
-    timers_[entry.core]->record_completion(done_at);
-    queue.push({timers_[entry.core]->peek_issue(), entry.core});
-  }
-  flush_streams();
+void System::run(std::uint64_t instructions_per_core) {
+  drive(Stop::Quota, instructions_per_core);
 }
+
+void System::step_epochs(std::uint64_t epochs) { drive(Stop::Epochs, epochs); }
 
 void System::reset_core(CoreId core, std::string_view workload_name,
                         std::uint64_t stream_salt) {
@@ -637,12 +621,6 @@ void System::set_core_active(CoreId core, bool active) {
   active_[core] = active ? 1 : 0;
 }
 
-std::uint32_t System::num_active_cores() const {
-  std::uint32_t count = 0;
-  for (const std::uint8_t flag : active_) count += flag;
-  return count;
-}
-
 void System::install_partition(const partition::Allocation& allocation,
                                const partition::BankAssignment& assignment) {
   BACP_ASSERT(config_.policy == PolicyKind::External,
@@ -653,8 +631,6 @@ void System::install_partition(const partition::Allocation& allocation,
   allocation_history_.push_back(allocation);
   audit_checkpoint("install_partition");
 }
-
-void System::reset_measurement() { clear_all_stats(); }
 
 std::vector<System::CoreSample> System::sample_cores() const {
   std::vector<CoreSample> samples(config_.geometry.num_cores);
@@ -739,7 +715,7 @@ snapshot::SystemSnapshot System::save_state() const {
   return builder.finish();
 }
 
-void System::restore_components(const snapshot::SnapshotView& view) {
+void System::restore_from(const snapshot::SnapshotView& view) {
   {
     auto reader = view.section(snapshot::SectionId::Noc);
     noc_.restore_state(reader);
@@ -772,10 +748,7 @@ void System::restore_components(const snapshot::SnapshotView& view) {
     auto reader = view.section(snapshot::SectionId::Timers);
     for (auto& timer : timers_) timer->restore_state(reader);
   }
-}
 
-void System::restore_from(const snapshot::SnapshotView& view) {
-  restore_components(view);
   auto reader = view.section(snapshot::SectionId::SystemMeta);
   const auto mix_indices = reader.scalars<std::size_t>();
   BACP_ASSERT(mix_indices == mix_.workload_indices, "snapshot mix mismatch");
@@ -808,7 +781,7 @@ void System::restore_from(const snapshot::SnapshotView& view) {
   }
   // The saving system was statistics-clean (save_state asserts it), so the
   // derived tracking state rebuilds deterministically from component state —
-  // exactly what clear_all_stats() established on the saving side.
+  // exactly what reset_measurement() established on the saving side.
   snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
   epochs_ = 0;
   reset_epoch_tracking();
@@ -820,95 +793,6 @@ void System::restore_state(const snapshot::SystemSnapshot& snapshot) {
   BACP_ASSERT(view.config_digest() == config_digest(config_, mix_),
               "snapshot belongs to a different (config, mix)");
   restore_from(view);
-}
-
-void System::adopt_warm_state(const snapshot::SystemSnapshot& snapshot) {
-  const snapshot::SnapshotView view(snapshot);
-  BACP_ASSERT(view.config_digest() == warm_state_digest(config_, mix_),
-              "snapshot is not this (config, mix)'s canonical warm state");
-  restore_components(view);
-  {
-    auto reader = view.section(snapshot::SectionId::SystemMeta);
-    const auto mix_indices = reader.scalars<std::size_t>();
-    BACP_ASSERT(mix_indices == mix_.workload_indices, "snapshot mix mismatch");
-  }
-  // The warm state is policy-neutral; install this config's plan over the
-  // warm contents (stale lines in reassigned ways displace naturally, the
-  // same transient a mid-run repartition produces).
-  apply_policy_plan();
-  allocation_history_.clear();
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    last_epoch_instructions_[core] = timers_[core]->instructions();
-    decayed_instructions_[core] = 0.0;
-  }
-  // Re-arm the epoch clock at the next boundary past the warm clock (the
-  // canonical warm config suppresses boundaries with a huge interval).
-  Cycle max_time = 0;
-  for (const auto& timer : timers_) max_time = std::max(max_time, timer->time());
-  next_epoch_ = (max_time / config_.epoch_cycles + 1) * config_.epoch_cycles;
-  clear_all_stats();
-  audit_checkpoint("adopt_warm_state");
-}
-
-void System::run(std::uint64_t instructions_per_core) {
-  execute(instructions_per_core);
-}
-
-void System::fast_forward(std::uint64_t instructions_per_core) {
-  // Functional-and-timing warming for sampled runs: the same APKI-derived
-  // quotas, issue-time priority queue and CoreTimer issue/stall model as
-  // execute(), so the warmed trajectory — cache contents, DRAM channel
-  // horizon, core clocks, jitter RNG streams — is the one a detailed run
-  // would have produced. (An earlier stand-in that advanced core clocks by
-  // an un-jittered gap with an ad-hoc MLP emulation let memory-bound cores
-  // out-issue their detailed throttle; the DRAM busy-until horizon then
-  // raced ahead of wall-clock and dragged *every* core's clock to the
-  // slowest core's pace, poisoning the first detailed interval entered
-  // afterwards.) All that fast_forward skips is the per-core measurement
-  // snapshots; the end-of-run drain stays, so warming an interval leaves
-  // the system in exactly the state run() over the same span leaves it —
-  // a sampled interval's boundary state bit-matches the corresponding
-  // boundary of an every-interval detailed reference run.
-  struct QueueEntry {
-    Cycle issue_at;
-    CoreId core;
-    bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-  const auto& suite = trace::spec2000_suite();
-  std::vector<std::uint64_t> remaining(config_.geometry.num_cores, 0);
-  std::uint32_t unfinished = 0;
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    if (active_[core] == 0) continue;
-    const double apki = suite.at(bound_workloads_[core]).l2_apki;
-    remaining[core] = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(instructions_per_core) *
-                                      apki / 1000.0));
-    ++unfinished;
-    queue.push({timers_[core]->peek_issue(), core});
-  }
-
-  while (unfinished > 0) {
-    const auto entry = queue.top();
-    // Epoch boundaries fire in global time order here too, so the warming
-    // span sees the same adaptive repartitions a detailed run would.
-    if (entry.issue_at >= next_epoch_) {
-      run_epoch_boundary();
-      next_epoch_ += config_.epoch_cycles;
-      continue;
-    }
-    queue.pop();
-
-    const Cycle issue_time = timers_[entry.core]->advance_to_issue();
-    const Cycle done_at = serve_access(entry.core, issue_time);
-    timers_[entry.core]->record_completion(done_at);
-
-    if (remaining[entry.core] > 0 && --remaining[entry.core] == 0) --unfinished;
-    if (unfinished > 0) queue.push({timers_[entry.core]->peek_issue(), entry.core});
-  }
-  flush_streams();
-  for (auto& timer : timers_) timer->drain();
-  audit_checkpoint("fast_forward");
 }
 
 SystemResults System::results() const {

@@ -144,28 +144,21 @@ class System {
   /// memory-intensive cores contribute proportionally more L2 traffic.
   void warm_up(std::uint64_t instructions_per_core);
 
-  /// Measurement run over `instructions_per_core` instructions per core.
-  /// May be called repeatedly; statistics accumulate across calls.
+  /// Runs `instructions_per_core` instructions per core: every active core
+  /// gets an APKI-derived L2-access quota, all keep co-running until the
+  /// slowest meets its quota, and the in-flight windows drain at the end.
+  /// May be called repeatedly; statistics accumulate across calls. Sampled
+  /// runs warm skipped intervals with run() too, then exclude them from
+  /// measurement with reset_measurement().
   void run(std::uint64_t instructions_per_core);
-
-  /// Warming for sampled runs: advances every active core by
-  /// `instructions_per_core` instructions with the same machinery as run()
-  /// — APKI-derived quotas, the issue-time priority queue over the
-  /// CoreTimers (MLP window, gap jitter), epoch boundaries fired in global
-  /// time order — and drains the in-flight windows at the end. It only
-  /// skips the per-core quota snapshots, so the state it leaves is exactly
-  /// the state run() over the same span leaves. Statistics accumulate as
-  /// under run(): exclude warmed spans from measurement with
-  /// reset_measurement(), which also re-establishes the statistics-clean
-  /// point save_state() requires.
-  void fast_forward(std::uint64_t instructions_per_core);
 
   /// Session-style stepping (the sched::Service run surface): advances the
   /// simulation until `epochs` epoch boundaries have fired, with no
   /// per-core instruction quotas — every active core keeps executing until
   /// the last boundary. With no active cores the epoch clock still
-  /// advances (boundaries fire over an idle machine). Statistics
-  /// accumulate exactly as under run().
+  /// advances (boundaries fire over an idle machine). Nothing drains, so
+  /// one call per boundary walks the same trajectory as one call for all.
+  /// Statistics accumulate exactly as under run().
   void step_epochs(std::uint64_t epochs);
 
   /// Program phase change on one core: the generator's reuse structure and
@@ -190,7 +183,6 @@ class System {
   /// caches stay in place and stay coherent. Cores start active.
   void set_core_active(CoreId core, bool active);
   bool core_active(CoreId core) const { return active_.at(core) != 0; }
-  std::uint32_t num_active_cores() const;
 
   /// Installs an externally computed partitioning plan (PolicyKind::External
   /// drivers). The assignment is validated against the allocation, applied
@@ -244,17 +236,12 @@ class System {
     return allocation_history_;
   }
   const nuca::DnucaCache& l2() const { return *l2_; }
-  const cache::SetAssocCache& l1(CoreId core) const { return l1_.at(core); }
   std::span<const cache::SetAssocCache> l1s() const {
     return {l1_.data(), l1_.size()};
   }
   const coherence::MoesiDirectory& directory() const { return directory_; }
   const SystemConfig& config() const { return config_; }
   const msa::StackProfiler& profiler(CoreId core) const { return *profilers_.at(core); }
-  /// Epoch boundaries crossed since the last statistics reset (warm_up()
-  /// ends with a reset, so after a measurement run this counts measured
-  /// epochs only).
-  std::uint64_t epochs_run() const { return epochs_; }
 
   /// Live view of the per-epoch recorder (also copied into results()).
   const obs::TimeSeries& epoch_series() const { return epoch_series_; }
@@ -272,13 +259,6 @@ class System {
   /// subsequent run() is bit-identical to one the saving system would have
   /// produced.
   void restore_state(const snapshot::SystemSnapshot& snapshot);
-
-  /// Shared-warmup adoption: takes warm state produced by a system built
-  /// from canonical_warm_config() (asserted via warm_state_digest()),
-  /// reinstalls *this* config's partitioning plan over the warm contents and
-  /// re-arms the epoch clock. Results differ from a cold per-variant warm-up
-  /// by design — this is the opt-in --shared-warmup mode.
-  void adopt_warm_state(const snapshot::SystemSnapshot& snapshot);
 
   /// Composable halves of save_state()/restore_state() for embedders
   /// (sched::Service) that wrap the system sections in a larger snapshot:
@@ -334,16 +314,23 @@ class System {
 
   /// One core's buffered slice of its generator stream, refilled
   /// trace::AccessBatch::kMaxSize accesses at a time. Batches exist only
-  /// within execute()/fast_forward()/step_epochs(): flush_streams()
-  /// rewinds every unconsumed suffix before control returns, so snapshots,
-  /// workload switches and core resets always see generators in their
-  /// exact scalar state.
+  /// within drive(): flush_streams() rewinds every unconsumed suffix before
+  /// run() or step_epochs() returns, so snapshots, workload switches and
+  /// core resets always see generators in their exact scalar state.
   struct CoreStream {
     trace::AccessBatch batch;
     std::uint32_t cursor = 0;
   };
 
-  void execute(std::uint64_t instructions_per_core);
+  /// drive()'s stop rule. Quota: `count` instructions per core as
+  /// APKI-derived access quotas, each core's statistics frozen at its quota,
+  /// timers drained at the end (run()). Epochs: `count` boundaries, fired
+  /// even over an idle machine, nothing drained (step_epochs()).
+  enum class Stop : std::uint8_t { Quota, Epochs };
+  /// The one event loop behind run() and step_epochs(): serves accesses in
+  /// global issue-time order across the active cores and fires epoch
+  /// boundaries in time order between them.
+  void drive(Stop stop, std::uint64_t count);
   /// Trace-generator geometry for `core` (constructor and reset_core()).
   trace::GeneratorConfig generator_config(CoreId core) const;
   /// Timer parameters for `core` running `model`. `stream_salt` (0 for the
@@ -363,9 +350,7 @@ class System {
   void reset_epoch_tracking();
   Cycle serve_access(CoreId core, Cycle issue_time);
   void apply_policy_plan();
-  void clear_all_stats();
   void snapshot_core(CoreId core);
-  void restore_components(const snapshot::SnapshotView& view);
 
   // NOLINTNEXTLINE(bacp-audit-coverage): immutable after construction; validated by SystemConfig parsing and pinned by config_digest
   SystemConfig config_;

@@ -124,16 +124,4 @@ std::uint64_t config_digest(const SystemConfig& config) {
   return digest.value();
 }
 
-SystemConfig canonical_warm_config(const SystemConfig& config) {
-  SystemConfig canonical = config;
-  canonical.policy = PolicyKind::EqualPartition;
-  canonical.aggregation = nuca::AggregationKind::Parallel;
-  canonical.epoch_cycles = Cycle{1} << 62;
-  return canonical;
-}
-
-std::uint64_t warm_state_digest(const SystemConfig& config, const trace::WorkloadMix& mix) {
-  return config_digest(canonical_warm_config(config), mix);
-}
-
 }  // namespace bacp::sim

@@ -83,14 +83,4 @@ std::uint64_t config_digest(const SystemConfig& config, const trace::WorkloadMix
 /// equal (harness::SystemPool keys on this).
 std::uint64_t config_digest(const SystemConfig& config);
 
-/// The policy-neutral warm-up configuration for --shared-warmup: the same
-/// system with EqualPartition/Parallel and an epoch interval no run ever
-/// reaches, so no epoch boundary (profiler decay, repartition) fires during
-/// warm-up and the warm state is identical for every policy/epoch/aggregation
-/// variant sharing the remaining fields.
-SystemConfig canonical_warm_config(const SystemConfig& config);
-
-/// config_digest() of canonical_warm_config(): the shared-warmup cache key.
-std::uint64_t warm_state_digest(const SystemConfig& config, const trace::WorkloadMix& mix);
-
 }  // namespace bacp::sim

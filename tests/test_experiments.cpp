@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "obs/report.hpp"
 #include "trace/spec2000.hpp"
 
 namespace bacp::harness {
@@ -71,6 +74,21 @@ TEST(DetailedRunConfig, FromArgsPrefersFlags) {
   EXPECT_EQ(config.epoch_cycles, 333u);
   EXPECT_EQ(config.seed, 444u);
   EXPECT_EQ(config.num_threads, 2u);
+}
+
+// Detailed runs construct one System per policy and read the snapshot bank
+// through the default path, so a detailed-run binary must refuse --pool and
+// --mmap (usage + exit 2) instead of silently ignoring them.
+using DetailedRunConfigDeath = ::testing::Test;
+
+TEST(DetailedRunConfigDeath, PoolAndMmapFlagsAreUnknown) {
+  for (const char* flag : {"--pool=off", "--mmap=off"}) {
+    common::ArgParser parser(DetailedRunConfig::cli_flags());
+    const char* argv[] = {"prog", flag};
+    EXPECT_EXIT(std::exit(obs::handle_cli(parser, 2, argv).value_or(0)),
+                ::testing::ExitedWithCode(2), "unknown flag")
+        << flag;
+  }
 }
 
 TEST(SetComparison, RatiosComputeAgainstNoPartition) {

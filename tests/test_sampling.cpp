@@ -417,10 +417,10 @@ TEST(SampledRun, TracksFullDetailedRun) {
 }
 
 TEST(SampledRun, MedoidIntervalsReproduceReferenceIntervalsExactly) {
-  // The strong form of the boundary contract: fast_forward leaves the
-  // system in exactly the state run() over the same span leaves it, so a
-  // sampled medoid interval measures bit-for-bit what the every-interval
-  // reference measures for that interval. The estimate must therefore be
+  // The strong form of the boundary contract: skipped intervals are warmed
+  // by the same run() the reference measures them with, so a sampled
+  // medoid interval measures bit-for-bit what the every-interval reference
+  // measures for that interval. The estimate must therefore be
   // *reconstructible* from the reference's per-interval numbers and the
   // published plan — the only freedom the estimator has is which intervals
   // it runs, never what they measure.

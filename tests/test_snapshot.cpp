@@ -114,7 +114,7 @@ TEST(SystemSnapshot, RestoreResumesBitIdentically) {
   original.run(900'000);
   restored.run(900'000);
   EXPECT_EQ(original.results().to_json().dump(), restored.results().to_json().dump());
-  EXPECT_EQ(original.epochs_run(), restored.epochs_run());
+  EXPECT_EQ(original.results().epochs(), restored.results().epochs());
 
   // ...and resume along the *same* trajectory, not merely a similar one:
   // the warm states coincide byte-for-byte after the measured window too
@@ -133,25 +133,6 @@ TEST(SystemSnapshot, RestoreRejectsMismatchedConfig) {
 
   sim::System other(fast_config(sim::PolicyKind::EqualPartition), mix);
   EXPECT_DEATH(other.restore_state(snapshot), "digest");
-}
-
-TEST(SystemSnapshot, AdoptWarmStateRunsAllPolicies) {
-  const auto mix = capacity_diverse_mix();
-  const auto base = fast_config(sim::PolicyKind::BankAware);
-
-  sim::System canonical(sim::canonical_warm_config(base), mix);
-  canonical.warm_up(400'000);
-  const auto snapshot = canonical.save_state();
-
-  for (const auto policy : {sim::PolicyKind::NoPartition, sim::PolicyKind::EqualPartition,
-                            sim::PolicyKind::BankAware}) {
-    sim::System variant(fast_config(policy), mix);
-    variant.adopt_warm_state(snapshot);
-    const auto structural = audit::audit_system(variant);
-    EXPECT_TRUE(structural.ok()) << structural.to_string();
-    variant.run(600'000);
-    EXPECT_GT(variant.results().l2_misses(), 0u);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -186,27 +167,6 @@ TEST(ConfigDigest, SeparatesWarmStateRelevantFields) {
   const auto other_mix = trace::mix_from_names(
       {"gcc", "eon", "art", "mcf", "bzip2", "sixtrack", "facerec", "gzip"});
   EXPECT_NE(sim::config_digest(base, other_mix), digest);
-}
-
-TEST(ConfigDigest, WarmStateDigestIsPolicyNeutral) {
-  const auto mix = capacity_diverse_mix();
-  const auto base = fast_config(sim::PolicyKind::BankAware);
-  const std::uint64_t digest = sim::warm_state_digest(base, mix);
-
-  // The canonical warm-up neutralizes the knobs that only matter once
-  // epochs fire: policy, aggregation and epoch length.
-  auto changed = base;
-  changed.policy = sim::PolicyKind::NoPartition;
-  EXPECT_EQ(sim::warm_state_digest(changed, mix), digest);
-  changed.aggregation = nuca::AggregationKind::AddressHash;
-  EXPECT_EQ(sim::warm_state_digest(changed, mix), digest);
-  changed.epoch_cycles = 123'456;
-  EXPECT_EQ(sim::warm_state_digest(changed, mix), digest);
-
-  // Everything that shapes warm contents still separates.
-  changed = base;
-  changed.seed = base.seed + 1;
-  EXPECT_NE(sim::warm_state_digest(changed, mix), digest);
 }
 
 // Fingerprint completeness is enforced at compile time: system_config.cpp
@@ -264,9 +224,9 @@ TEST(SnapshotCache, WarmupKeySeparatesLengths) {
   EXPECT_EQ(harness::warmup_key(1, 100), harness::warmup_key(1, 100));
 }
 
-// The tentpole's headline invariant: with snapshot reuse on (default) and
-// shared warm-up off, sweep results are byte-identical to cold warm-up and
-// independent of the worker count.
+// The fork engine's headline invariant: with snapshot reuse on (default),
+// sweep results are byte-identical to cold warm-up and independent of the
+// worker count.
 TEST(SnapshotCache, SweepResultsIndependentOfReuseAndThreads) {
   const auto sets = std::vector<harness::ExperimentSet>{harness::table3_sets()[1]};
   auto config = harness::DetailedRunConfig{}
@@ -374,27 +334,6 @@ TEST(SnapshotCache, TruncatedBankEntryFailsClosedUnderMmap) {
   EXPECT_EQ(cache.file_hits(), 0u);
   EXPECT_TRUE(audit::audit_snapshot(*snapshot).ok());
   std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotCache, VariantSweepForksOneWarmupInSharedMode) {
-  const auto mix = capacity_diverse_mix();
-  std::vector<harness::SweepVariant> variants;
-  for (const Cycle epoch : {750'000ull, 1'500'000ull, 3'000'000ull}) {
-    auto config = fast_config(sim::PolicyKind::BankAware);
-    config.epoch_cycles = epoch;
-    config.finalize();
-    variants.push_back({std::to_string(epoch), config, 200'000});
-  }
-  harness::VariantSweepOptions options;
-  options.num_threads = 3;
-  options.shared_warmup = true;
-  std::vector<std::uint64_t> misses(variants.size());
-  harness::run_variant_sweep(variants, mix, options,
-                             [&](sim::System& system, std::size_t index) {
-                               system.run(400'000);
-                               misses[index] = system.results().l2_misses();
-                             });
-  for (const std::uint64_t count : misses) EXPECT_GT(count, 0u);
 }
 
 }  // namespace
