@@ -112,6 +112,18 @@ TEST(SetAssocCache, HitAllowedInAnyWayRegardlessOfPartition) {
   EXPECT_TRUE(cache.access(block_in(0, 1), 1, false).hit);
 }
 
+TEST(SetAssocCache, StaleTagInInvalidWayDoesNotShadowLaterMatch) {
+  SetAssocCache cache(tiny(4, 4, 2));
+  const auto x = block_in(0, 7);
+  ASSERT_EQ(cache.fill(x, 0, false).way, 0u);
+  ASSERT_TRUE(cache.invalidate(x).has_value());  // way 0 keeps x's stale tag
+  cache.set_way_partition({core_bit(0), core_bit(1), core_bit(1), core_bit(1)});
+  ASSERT_EQ(cache.fill(x, 1, false).way, 1u);
+  const auto result = cache.access(x, 1, false);
+  EXPECT_TRUE(result.hit);
+  EXPECT_EQ(result.way, 1u);
+}
+
 TEST(SetAssocCache, VictimSelectionRespectsWayMasks) {
   SetAssocCache cache(tiny(2, 4, 2));
   cache.set_way_partition({core_bit(0), core_bit(1)});

@@ -71,6 +71,49 @@ TEST(FlatHash64, ClearEmptiesButKeepsCapacity) {
   EXPECT_EQ(*map.find(5), 3);
 }
 
+/// A probe run that starts in the last two slots of a 16-slot table wraps
+/// through the table end, and backward-shift deletion must pull the
+/// wrapped entries back across it. Keys are picked by their ideal slot —
+/// the top four bits of the Fibonacci hash at the minimum capacity.
+TEST(FlatHash64, ProbeRunsAndBackwardShiftWrapAroundTheTableEnd) {
+  const auto ideal_slot = [](std::uint64_t key) {
+    return (key * 0x9E3779B97F4A7C15ull) >> 60;
+  };
+  std::vector<std::uint64_t> keys;
+  std::uint64_t absent = 0;
+  for (std::uint64_t key = 1; keys.size() < 5 || absent == 0; ++key) {
+    const std::uint64_t slot = ideal_slot(key);
+    if (keys.size() < 5 && slot >= 14) {
+      keys.push_back(key);
+    } else if (absent == 0 && slot == 15) {
+      absent = key;
+    }
+  }
+
+  FlatHash64<std::uint64_t> map;
+  ASSERT_EQ(map.capacity(), 16u);
+  for (std::size_t i = 0; i < keys.size(); ++i) map.insert_or_assign(keys[i], i);
+  ASSERT_EQ(map.capacity(), 16u);  // five entries never grow the table
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto* value = map.find(keys[i]);
+    ASSERT_NE(value, nullptr) << "key " << keys[i];
+    EXPECT_EQ(*value, i);
+  }
+  EXPECT_EQ(map.find(absent), nullptr);
+
+  // The first key sits at the head of the run (slot 14 or 15); erasing it
+  // shifts the wrapped entries back across the table end.
+  ASSERT_TRUE(map.erase(keys[0]));
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_EQ(map.find(keys[0]), nullptr);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    const auto* value = map.find(keys[i]);
+    ASSERT_NE(value, nullptr) << "key " << keys[i];
+    EXPECT_EQ(*value, i);
+  }
+  EXPECT_EQ(map.find(absent), nullptr);
+}
+
 /// Backward-shift deletion is the delicate part: hammer the table with a
 /// random insert/erase/lookup mix and require exact agreement with
 /// std::unordered_map at every step.

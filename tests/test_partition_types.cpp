@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "partition/static_policies.hpp"
 
@@ -38,6 +42,34 @@ TEST(ProjectedTotalMisses, SumsPerCoreProjections) {
   const std::vector<WayCount> ways{1, 2};
   // core 0 at 1 way: 20 - 10 = 10; core 1 at 2 ways: 10 - 8 = 2.
   EXPECT_DOUBLE_EQ(projected_total_misses(curves, ways), 12.0);
+}
+
+/// The projected total is the plain in-order sum of per-core miss_count
+/// values, bit for bit, at every length and through both overloads. Empty
+/// curves, zero ways and ways past the curve depth all take part.
+TEST(ProjectedTotalMisses, EqualsInOrderMissCountSum) {
+  common::Rng rng(0x9A71);
+  for (const std::size_t count : {1u, 63u, 64u, 65u, 130u}) {
+    std::vector<msa::MissRatioCurve> curves;
+    std::vector<WayCount> ways;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<double> hits(rng.next_below(20));
+      for (double& h : hits) h = rng.next_double() * 1000.0;
+      curves.emplace_back(std::move(hits), rng.next_double() * 500.0);
+      ways.push_back(static_cast<WayCount>(rng.next_below(24)));
+    }
+    double expected = 0.0;
+    std::vector<const msa::MissRatioCurve*> views;
+    for (std::size_t i = 0; i < count; ++i) {
+      expected += curves[i].miss_count(ways[i]);
+      views.push_back(&curves[i]);
+    }
+    EXPECT_EQ(projected_total_misses(curves, ways), expected) << count;
+    EXPECT_EQ(projected_total_misses(std::span<const msa::MissRatioCurve* const>(views),
+                                     ways),
+              expected)
+        << count;
+  }
 }
 
 TEST(CmpGeometry, CustomShapesValidate) {
