@@ -58,8 +58,8 @@ void* counted_alloc(std::size_t size) {
 }
 
 /// FNV-1a over the bit pattern of a double: the summary means must land on
-/// identical bytes at a fixed seed regardless of thread count, pool size,
-/// restore path or SIMD tier — the determinism contract this bench pins.
+/// identical bytes at a fixed seed regardless of thread count, pool size or
+/// restore path — the determinism contract this bench pins.
 std::uint64_t fold_bits(std::uint64_t hash, double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
 
   report.metric("checksum", checksum);
   report.note("trials/sec is the headline; checksum pins the summary ratios "
-              "(must not drift across pool size, restore path or SIMD tier "
-              "at a fixed seed)");
+              "(must not drift across pool size or restore path at a fixed "
+              "seed)");
   return report.emit(std::cout, options) ? 0 : 1;
 }

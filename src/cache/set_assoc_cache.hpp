@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace bacp::audit {
@@ -164,9 +163,9 @@ class SetAssocCache {
   /// access so the L1 set is warm when the access is served.
   void prefetch_set(BlockAddress block) const {
     const std::uint32_t set = set_index(block);
-    common::simd::prefetch_read(&meta_[set]);
-    common::simd::prefetch_read(tags_.data() + line_index(set, 0));
-    common::simd::prefetch_read(links_.data() + link_index(set, 0));
+    __builtin_prefetch(&meta_[set]);
+    __builtin_prefetch(tags_.data() + line_index(set, 0));
+    __builtin_prefetch(links_.data() + link_index(set, 0));
   }
 
  private:

@@ -3,13 +3,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/huge_alloc.hpp"
-#include "common/simd.hpp"
 
 namespace bacp::common {
 
@@ -56,7 +54,7 @@ class FlatHash64 {
   /// Issues a read prefetch for `key`'s probe line, so a lookup issued a
   /// few accesses later finds the table's (cold, multi-MB) slot array line
   /// already in flight — the find() that follows still decides.
-  void prefetch(Key key) const { simd::prefetch_read(&slots_[ideal_slot(key)]); }
+  void prefetch(Key key) const { __builtin_prefetch(&slots_[ideal_slot(key)]); }
 
   /// Returns the value for `key`, default-constructing it if absent (the
   /// `operator[]` idiom).
@@ -132,15 +130,6 @@ class FlatHash64 {
   static constexpr std::size_t kMaxLoadNum = 7;
   static constexpr std::size_t kMaxLoadDen = 8;
 
-  // The SIMD run probe reads raw slot bytes under the probe_run16
-  // layout contract (16-byte slots, key at 0, occupancy byte at 12); any
-  // Value that packs differently transparently keeps the scalar probe.
-  static constexpr bool kGroupProbeEligible =
-      std::is_standard_layout_v<Slot> && std::is_trivially_copyable_v<Value> &&
-      sizeof(Slot) == simd::detail::kGroupSlotBytes &&
-      offsetof(Slot, key) == 0 &&
-      offsetof(Slot, occupied) == simd::detail::kGroupOccupiedOffset;
-
   std::size_t ideal_slot(Key key) const {
     // Fibonacci multiplicative hash; the high bits select the slot.
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
@@ -149,20 +138,9 @@ class FlatHash64 {
   /// One probe walk that serves every operation: returns key's slot with
   /// matched == true, or — key absent — the empty slot that ended the run
   /// (exactly where insert_position() would land the key) with matched ==
-  /// false. In the SIMD tiers one dispatched call probes the entire run
-  /// four slots per step — tier check and call overhead paid once per
-  /// lookup, not per group (a 7/8-load table keeps runs short, so per-group
-  /// dispatch used to cost more than the vector compare saved).
+  /// false.
   std::pair<std::size_t, bool> probe_run(Key key) const {
     std::size_t slot = ideal_slot(key);
-    if constexpr (kGroupProbeEligible) {
-      if (simd::active_tier() == simd::Tier::Avx2) {
-        const std::uint64_t run = simd::detail::probe_run16_avx2(
-            reinterpret_cast<const unsigned char*>(slots_.data()), mask_, slot, key);
-        return {static_cast<std::size_t>(run >> 1),
-                (run & simd::detail::kRunMatch) != 0};
-      }
-    }
     while (slots_[slot].occupied) {
       if (slots_[slot].key == key) return {slot, true};
       slot = (slot + 1) & mask_;

@@ -43,9 +43,8 @@ class MissRatioCurve {
   double miss_count(WayCount ways) const;
 
   /// Raw cumulative-hits representation — prefix_hits()[w-1] = hits at
-  /// depth <= w — for the vectorized projection kernels
-  /// (common::simd::mu_scan / miss_counts), which replay miss_count's
-  /// clamped lookup per lane. miss_count() stays the scalar reference.
+  /// depth <= w — for partition::unrestricted_partition's lookahead scan,
+  /// which reads it contiguously; miss_count() is the reference lookup.
   std::span<const double> prefix_hits() const { return prefix_hits_; }
 
   /// miss_count / total (0 if the curve is empty).

@@ -5,7 +5,6 @@
 
 #include "cache/partial_tag.hpp"
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 #include "snapshot/codec.hpp"
 
 namespace bacp::msa {
@@ -53,9 +52,10 @@ void StackProfiler::observe(BlockAddress block) {
   std::uint64_t* stack = stack_entries_.data() + stack_index * config_.profiled_ways;
   const std::uint32_t size = stack_sizes_[stack_index];
 
-  const std::uint32_t depth = common::simd::find_first_equal_u64(stack, size, entry);
-  if (depth != common::simd::kLaneNotFound) {
+  const std::uint64_t* hit = std::find(stack, stack + size, entry);
+  if (hit != stack + size) {
     // Hit at `depth`: move-to-front shifts the shallower entries down one.
+    const auto depth = static_cast<std::uint32_t>(hit - stack);
     histogram_.increment(depth);
     std::memmove(stack + 1, stack, depth * sizeof(std::uint64_t));
   } else {

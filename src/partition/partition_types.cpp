@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 
 namespace bacp::partition {
 
@@ -45,59 +44,24 @@ void BankAssignment::validate_against(const CmpGeometry& geometry,
   }
 }
 
-namespace {
-
-/// Shared core of both projected_total_misses overloads: evaluate the
-/// per-core miss counts in fixed-size lanes through the simd kernel, then
-/// accumulate strictly in core order. The in-order sum is the determinism
-/// contract — only the per-lane lookups are batched.
-template <typename CurveAt>
-double projected_total_misses_impl(std::size_t count, const CurveAt& curve_at,
-                                   std::span<const WayCount> ways) {
-  constexpr std::size_t kLanes = 64;
-  const double* prefixes[kLanes];
-  std::uint32_t sizes[kLanes];
-  double totals[kLanes];
-  double counts[kLanes];
-  double total = 0.0;
-  for (std::size_t start = 0; start < count; start += kLanes) {
-    const std::size_t lanes = std::min(kLanes, count - start);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const msa::MissRatioCurve& curve = curve_at(start + lane);
-      const auto prefix = curve.prefix_hits();
-      prefixes[lane] = prefix.data();
-      sizes[lane] = static_cast<std::uint32_t>(prefix.size());
-      totals[lane] = curve.total();
-    }
-    common::simd::miss_counts(prefixes, sizes, totals, ways.data() + start, lanes,
-                              counts);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      total += counts[lane];
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
 double projected_total_misses(std::span<const msa::MissRatioCurve> curves,
                               std::span<const WayCount> ways) {
   BACP_ASSERT(curves.size() == ways.size(), "curves/ways size mismatch");
-  return projected_total_misses_impl(
-      curves.size(), [&](std::size_t i) -> const msa::MissRatioCurve& {
-        return curves[i];
-      },
-      ways);
+  double total = 0.0;
+  for (std::size_t core = 0; core < curves.size(); ++core) {
+    total += curves[core].miss_count(ways[core]);
+  }
+  return total;
 }
 
 double projected_total_misses(std::span<const msa::MissRatioCurve* const> curves,
                               std::span<const WayCount> ways) {
   BACP_ASSERT(curves.size() == ways.size(), "curves/ways size mismatch");
-  return projected_total_misses_impl(
-      curves.size(), [&](std::size_t i) -> const msa::MissRatioCurve& {
-        return *curves[i];
-      },
-      ways);
+  double total = 0.0;
+  for (std::size_t core = 0; core < curves.size(); ++core) {
+    total += curves[core]->miss_count(ways[core]);
+  }
+  return total;
 }
 
 }  // namespace bacp::partition

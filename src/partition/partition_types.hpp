@@ -71,11 +71,10 @@ struct BankAssignment {
 };
 
 /// Total projected miss count if each core i receives allocation[i] ways,
-/// given per-core (already intensity-weighted) miss-ratio curves. The
-/// per-core miss counts are evaluated through the batched
-/// common::simd::miss_counts kernel; the summation stays strictly in core
-/// order — that ordered double sum is pinned by every projected-miss
-/// artifact's byte-identity contract and must never be reassociated.
+/// given per-core (already intensity-weighted) miss-ratio curves: the sum
+/// of MissRatioCurve::miss_count, strictly in core order — that ordered
+/// double sum is pinned by every projected-miss artifact's byte-identity
+/// contract and must never be reassociated.
 double projected_total_misses(std::span<const msa::MissRatioCurve> curves,
                               std::span<const WayCount> ways);
 

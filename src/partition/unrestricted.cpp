@@ -1,24 +1,46 @@
 #include "partition/unrestricted.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 #include "partition/marginal_utility.hpp"
 
 namespace bacp::partition {
 
 namespace {
 
+/// Marginal-utility lookahead over one curve: out[n-1] = MU(current, n)
+/// for n in [1, max_extra]. Each lane is marginal_utility's own IEEE
+/// sub/sub/div on the same operands, so the values are bit-identical to
+/// it. While current + n is within the curve the prefix reads are
+/// contiguous; past the curve's deepest way miss(current + n) is the
+/// constant deep-miss floor and only the divisor changes.
+void mu_scan(const msa::MissRatioCurve& curve, WayCount current, WayCount max_extra,
+             double* out) {
+  const double total = curve.total();
+  const double base = curve.miss_count(current);
+  const WayCount size = curve.max_ways();
+  const WayCount contiguous = size > current ? std::min(max_extra, size - current) : 0;
+  const std::span<const double> prefix = curve.prefix_hits();
+  for (WayCount n = 1; n <= contiguous; ++n) {
+    out[n - 1] =
+        (base - (total - prefix[std::size_t{current} + n - 1])) / static_cast<double>(n);
+  }
+  const double removed_deep = base - curve.miss_count(size);
+  for (WayCount n = contiguous + 1; n <= max_extra; ++n) {
+    out[n - 1] = removed_deep / static_cast<double>(n);
+  }
+}
+
 /// Shared core of both unrestricted_partition overloads.
 ///
 /// The direct formulation rescans max_marginal_utility(curve, current,
 /// headroom) for every core in every grant round, which is quadratic in
 /// the way count (a convex curve grants ~1 way per round). Instead we scan
-/// each core's full lookahead window once per allocation level through
-/// common::simd::mu_scan and store the first-wins running maximum per
-/// depth, so
+/// each core's lookahead window once per allocation level through mu_scan
+/// and store the first-wins running maximum per depth, so
 ///   best_mu[h-1] / best_extra[h-1] == max_marginal_utility(curve, current, h)
 /// for any headroom h up to the scan depth. A round is then one O(1) table
 /// lookup per core; only the winner's table is rebuilt (its allocation
@@ -57,12 +79,10 @@ Allocation unrestricted_partition_impl(const CmpGeometry& geometry,
 
   const auto rescan = [&](CoreId core) {
     const WayCount current = allocation.ways_per_core[core];
-    const WayCount depth = cap - current;
-    const msa::MissRatioCurve& curve = curve_at(core);
-    const auto prefix = curve.prefix_hits();
-    common::simd::mu_scan(prefix.data(),
-                          static_cast<std::uint32_t>(prefix.size()),
-                          curve.total(), current, depth, mu_buffer.data());
+    // The balance only shrinks, so no later round asks this allocation
+    // level for more headroom than the balance allows now.
+    const WayCount depth = std::min<WayCount>(cap - current, balance);
+    mu_scan(curve_at(core), current, depth, mu_buffer.data());
     double running = 0.0;
     WayCount running_extra = 0;
     double* bm = best_mu.data() + static_cast<std::size_t>(core) * cap;

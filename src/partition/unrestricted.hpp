@@ -22,11 +22,10 @@ struct UnrestrictedConfig {
 /// maximum Marginal Utility with lookahead. Deterministic: ties break
 /// toward the core with more remaining misses, then the lower core id.
 ///
-/// The lookahead scans run through the common::simd::mu_scan kernel and
-/// are cached per core as first-wins prefix maxima, so a grant round costs
-/// one table lookup per core and one rescan for the winner — identical
-/// selections (bit-identical utilities) to the direct per-round scan, at a
-/// fraction of the divides.
+/// Each core's lookahead scan is cached as first-wins prefix maxima, so a
+/// grant round costs one table lookup per core and one rescan for the
+/// winner — identical selections (bit-identical utilities) to the direct
+/// per-round max_marginal_utility scan, at a fraction of the divides.
 Allocation unrestricted_partition(const CmpGeometry& geometry,
                                   std::span<const msa::MissRatioCurve> curves,
                                   const UnrestrictedConfig& config = {});

@@ -41,10 +41,10 @@ struct WorkloadIntervalProfile {
 /// built from (config, any mix binding this workload to this core) would
 /// generate, through a standalone StackProfiler, and cuts the cumulative
 /// stack-distance histogram into per-interval deltas. All-integer until the
-/// final normalization, so the vectors are bit-identical across threads,
-/// SIMD dispatch and processes. The stream depends on (workload, core,
-/// config.seed) only — never on the co-runners — which is what makes
-/// profiles cacheable across Monte-Carlo mixes.
+/// final normalization, so the vectors are bit-identical across threads
+/// and processes. The stream depends on (workload, core, config.seed) only
+/// — never on the co-runners — which is what makes profiles cacheable
+/// across Monte-Carlo mixes.
 WorkloadIntervalProfile profile_workload_intervals(const sim::SystemConfig& config,
                                                    std::size_t workload, CoreId core,
                                                    const IntervalProfileConfig& intervals);

@@ -19,9 +19,9 @@ struct KMedoidsResult {
 
 /// Clusters `points` (equal-length feature vectors) around `k` medoids.
 /// Fully deterministic: no RNG, all ties broken toward the lowest index, so
-/// the same points yield the same plan on every thread count, SIMD build
-/// and process. O(k * n^2) per SWAP round — sized for interval counts in
-/// the tens to hundreds, not millions. Requires 1 <= k <= points.size().
+/// the same points yield the same plan on every thread count and process.
+/// O(k * n^2) per SWAP round — sized for interval counts in the tens to
+/// hundreds, not millions. Requires 1 <= k <= points.size().
 KMedoidsResult kmedoids(std::span<const std::vector<double>> points, std::uint32_t k);
 
 }  // namespace bacp::sampling
