@@ -21,6 +21,10 @@
 // Both surfaces report allocs/trial through the same global operator-new
 // counter bench_perf_throughput uses, plus a deterministic checksum over
 // the summary ratios so result drift is distinguishable from speed drift.
+// The sampled surface also reports bank_bytes_per_snapshot, the mean size
+// of the bank's .snap files after the populate sweep: the snapshot format's
+// size, which every per-byte cost of a sampled trial scales with
+// (deterministic at a fixed seed and scale).
 //
 // Flags: --trials (analytic trials), --sampled-trials, --seed, --threads,
 // --sampled, --sampled-intervals, --sampled-interval-instr,
@@ -33,6 +37,7 @@
 #include <filesystem>
 #include <iostream>
 #include <new>
+#include <system_error>
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
@@ -180,6 +185,14 @@ int main(int argc, char** argv) {
       config.snapshot_bank = bank;
     }
     (void)harness::run_monte_carlo(config);
+    std::uint64_t snap_bytes = 0;
+    std::uint64_t snap_files = 0;
+    std::error_code list_error;
+    for (const auto& entry : std::filesystem::directory_iterator(bank, list_error)) {
+      if (entry.path().extension() != ".snap") continue;
+      snap_bytes += entry.file_size();
+      ++snap_files;
+    }
     const std::uint64_t allocs_before = allocations();
     harness::MonteCarloSummary summary;
     {
@@ -204,6 +217,8 @@ int main(int argc, char** argv) {
                                       : static_cast<double>(allocs) /
                                             static_cast<double>(sampled_trials),
                   1);
+    report.metric("bank_bytes_per_snapshot",
+                  snap_files == 0 ? std::uint64_t{0} : snap_bytes / snap_files);
   }
 
   report.metric("checksum", checksum);

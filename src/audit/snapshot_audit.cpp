@@ -110,9 +110,10 @@ AuditReport audit_snapshot(const snapshot::SystemSnapshot& snapshot) {
                            std::to_string(length))) {
       return report;  // cannot checksum a payload outside the buffer
     }
-    const std::span<const std::uint8_t> payload(bytes.data() + offset, length);
-    checker.check(snap::fnv1a(payload) == checksum, object, "checksum",
-                  std::to_string(checksum), std::to_string(snap::fnv1a(payload)));
+    const std::uint64_t actual =
+        snap::fnv1a(std::span<const std::uint8_t>(bytes.data() + offset, length));
+    checker.check(actual == checksum, object, "checksum", std::to_string(checksum),
+                  std::to_string(actual));
     expected_offset = offset + length;
   }
 

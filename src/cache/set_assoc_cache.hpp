@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -153,6 +154,18 @@ class SetAssocCache {
 
   /// Snapshot of every valid line (invariant checks and debugging; O(size)).
   std::vector<Line> resident_lines() const;
+
+  /// Calls fn(block, way) for every valid line, set by set, without
+  /// building a list (the D-NUCA residency rebuild on restore).
+  template <typename Fn>
+  void for_each_valid(Fn&& fn) const {
+    for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+      for (std::uint64_t valid = meta_[set].valid; valid != 0; valid &= valid - 1) {
+        const auto way = static_cast<WayIndex>(std::countr_zero(valid));
+        fn(tags_[line_index(set, way)], way);
+      }
+    }
+  }
 
   std::uint32_t set_index(BlockAddress block) const {
     return static_cast<std::uint32_t>(block & (config_.num_sets - 1));

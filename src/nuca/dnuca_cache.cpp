@@ -334,8 +334,8 @@ void DnucaCache::reset_in_place() {
   }
   rebuild_view_positions();
   std::fill(round_robin_.begin(), round_robin_.end(), 0);
-  // FlatHash64::clear() keeps the slab; stale slot bytes are invisible to
-  // snapshots (entries serialize in key order).
+  // FlatHash64::clear() keeps the slab; the index is never serialized
+  // (restore rebuilds it from the banks).
   residency_.clear();
   clear_stats();
 }
@@ -358,21 +358,6 @@ void DnucaCache::save_state(snapshot::Writer& writer) const {
   for (const auto& bank : banks_) bank.save_state(writer);
   for (const auto& view : views_) writer.scalars(std::span<const BankId>(view));
   writer.scalars(std::span<const std::size_t>(round_robin_));
-  // FlatHash64 iteration order depends on insertion history, not contents;
-  // sorting by key makes identical residency state identical bytes.
-  std::vector<std::pair<std::uint64_t, Location>> entries;
-  entries.reserve(residency_.size());
-  residency_.for_each([&entries](std::uint64_t key, const Location& location) {
-    entries.emplace_back(key, location);
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  writer.u64(entries.size());
-  for (const auto& [key, location] : entries) {
-    writer.u64(key);
-    writer.u16(location.bank);
-    writer.u16(location.way);
-  }
   writer.scalars(std::span<const std::uint64_t>(stats_.hits));
   writer.scalars(std::span<const std::uint64_t>(stats_.misses));
   writer.u64(stats_.promotions);
@@ -387,16 +372,15 @@ void DnucaCache::restore_state(snapshot::Reader& reader) {
   for (auto& bank : banks_) bank.restore_state(reader);
   for (auto& view : views_) view = reader.scalars<BankId>();
   reader.scalars_into(std::span<std::size_t>(round_robin_));
-  // clear() keeps capacity (the ctor reserved the maximum possible line
-  // count), so reinserting never grows the table.
+  // The residency index is derived state: rebuild it from the restored
+  // banks' valid lines. clear() keeps capacity (the ctor reserved the
+  // maximum possible line count), so reinserting never grows the table.
   residency_.clear();
-  const std::uint64_t entry_count = reader.u64();
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    const std::uint64_t key = reader.u64();
-    Location location;
-    location.bank = reader.u16();
-    location.way = reader.u16();
-    residency_.insert_or_assign(key, location);
+  for (BankId id = 0; id < banks_.size(); ++id) {
+    banks_[id].for_each_valid([this, id](BlockAddress block, WayIndex way) {
+      residency_.insert_or_assign(block, Location{static_cast<std::uint16_t>(id),
+                                                  static_cast<std::uint16_t>(way)});
+    });
   }
   reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
   reader.scalars_into(std::span<std::uint64_t>(stats_.misses));

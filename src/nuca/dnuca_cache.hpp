@@ -147,9 +147,10 @@ class DnucaCache {
   const cache::SetAssocCache& bank(BankId id) const { return banks_.at(id); }
   const std::vector<BankId>& view_of(CoreId core) const { return views_.at(core); }
 
-  /// Serializes all banks, the partition views, the fill cursors, the
-  /// residency index (entries in key order, so identical state is identical
-  /// bytes) and statistics. Restore asserts the geometry echo matches.
+  /// Serializes all banks, the partition views, the fill cursors and
+  /// statistics. The residency index is not written: it is derived from
+  /// the banks' valid lines, and restore rebuilds it from them (as it
+  /// rebuilds the view positions). Restore asserts the geometry echo.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -200,6 +201,7 @@ class DnucaCache {
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over views_; rebuilt by rebuild_view_positions() on restore
   std::vector<std::uint32_t> view_pos_;         // core x bank -> index in view
   std::vector<std::size_t> round_robin_;        // per core: Parallel fill cursor
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over banks_' valid lines; rebuilt from the banks on restore
   common::FlatHash64<Location> residency_;      // block -> unique holding bank+way
   DnucaStats stats_;
 };

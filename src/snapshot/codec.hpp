@@ -40,6 +40,13 @@ class Writer {
   template <CodecScalar T>
   void scalars(std::span<const T> values) {
     u64(values.size());
+    raw_scalars(values);
+  }
+
+  /// Unprefixed scalar array, for runs whose lengths the payload already
+  /// carries (e.g. per-set windows sized by an earlier size table).
+  template <CodecScalar T>
+  void raw_scalars(std::span<const T> values) {
     raw(values.data(), values.size() * sizeof(T));
   }
 
@@ -85,6 +92,13 @@ class Reader {
   void scalars_into(std::span<T> values) {
     const std::uint64_t count = u64();
     BACP_ASSERT(count == values.size(), "snapshot array length mismatch");
+    raw_scalars_into(values);
+  }
+
+  /// Reads `values.size()` scalars written by Writer::raw_scalars; the
+  /// caller knows the length from earlier payload fields.
+  template <CodecScalar T>
+  void raw_scalars_into(std::span<T> values) {
     raw(values.data(), values.size() * sizeof(T));
   }
 

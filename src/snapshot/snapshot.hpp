@@ -36,10 +36,13 @@ const char* to_string(SectionId id);
 ///   ...  payload  sections, contiguous, in table order
 inline constexpr std::uint64_t kMagic = 0x50414E5350434142ull;  // "BACPSNAP"
 // v2: section checksums switched from byte-serial FNV-1a to the
-// word-at-a-time variant below. Banked v1 snapshots fail the version check
-// and rewarm — the bank is a cache, so a version bump costs time, never
-// correctness.
-inline constexpr std::uint32_t kVersion = 2;
+// word-at-a-time variant below. v3: sections carry only live state — the
+// generator section holds per-set live recency windows instead of whole
+// rings, and the L2 section no longer carries the residency index (restore
+// rebuilds it from the banks). Banked older snapshots fail the version
+// check and rewarm — the bank is a cache, so a version bump costs time,
+// never correctness.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kTableEntryBytes = 32;
 inline constexpr std::size_t kMaxSections = 16;
@@ -50,7 +53,7 @@ inline constexpr std::size_t kMaxSections = 16;
 /// snapshot is checksummed on save, on bank load *and* on restore, so the
 /// checksum was the dominant cost of a pooled sampled trial. The word
 /// variant keeps the same mixing structure at 8x fewer multiplies; it is
-/// format-internal (not FNV-compatible), which kVersion == 2 records.
+/// format-internal (not FNV-compatible), which the v2 bump recorded.
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 
 /// A whole simulated system's warm state as one flat buffer. Value type:

@@ -134,8 +134,8 @@ void SyntheticTraceGenerator::undo(const UndoRecord& record) {
       recency_entries_.data() + std::size_t{record.set} * ring_capacity_;
   std::uint32_t& head = recency_heads_[record.set];
   if (record.depth == kUndoFresh) {
-    // Inverse of a fresh insert: restore the slot's prior bytes (dead-slot
-    // bytes included, keeping snapshots of rewound state byte-identical),
+    // Inverse of a fresh insert: restore the overwritten slot (a full
+    // ring's LRU entry when capacity == max_depth; otherwise a dead slot),
     // re-advance the head and restore the live count.
     ring[head] = record.overwritten;
     head = (head + 1) & ring_mask_;
@@ -179,9 +179,20 @@ void SyntheticTraceGenerator::save_state(snapshot::Writer& writer) const {
   // outlives every generator; the name is the stable identity.
   writer.str(model_->name);
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
-  writer.scalars(std::span<const BlockAddress>(recency_entries_));
-  writer.scalars(std::span<const std::uint32_t>(recency_heads_));
+  // Live windows only, MRU first, unwrapped where one crosses the ring end.
   writer.scalars(std::span<const std::uint32_t>(recency_sizes_));
+  std::uint64_t live = 0;
+  for (const std::uint32_t size : recency_sizes_) live += size;
+  writer.u64(live);
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    const BlockAddress* ring =
+        recency_entries_.data() + std::size_t{set} * ring_capacity_;
+    const std::uint32_t head = recency_heads_[set];
+    const std::uint32_t size = recency_sizes_[set];
+    const std::uint32_t before_end = std::min(size, ring_capacity_ - head);
+    writer.raw_scalars(std::span<const BlockAddress>(ring + head, before_end));
+    writer.raw_scalars(std::span<const BlockAddress>(ring, size - before_end));
+  }
   writer.u64(next_block_id_);
 }
 
@@ -195,9 +206,23 @@ void SyntheticTraceGenerator::restore_state(snapshot::Reader& reader) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = reader.u64();
   rng_.set_state(rng_state);
-  reader.scalars_into(std::span<BlockAddress>(recency_entries_));
-  reader.scalars_into(std::span<std::uint32_t>(recency_heads_));
   reader.scalars_into(std::span<std::uint32_t>(recency_sizes_));
+  std::uint64_t live = 0;
+  for (const std::uint32_t size : recency_sizes_) {
+    BACP_ASSERT(size <= config_.max_depth, "snapshot recency size above max_depth");
+    live += size;
+  }
+  BACP_ASSERT(reader.u64() == live, "snapshot live recency count mismatch");
+  // Windows land at the ring's end under head capacity - size, the layout
+  // of a set that never wrapped: a window at slot 0 would wrap on its first
+  // fresh insert and push later re-touches off the memmove path. The rest
+  // of the ring is dead and keeps whatever it held.
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    BlockAddress* ring = recency_entries_.data() + std::size_t{set} * ring_capacity_;
+    const std::uint32_t start = ring_capacity_ - recency_sizes_[set];
+    reader.raw_scalars_into(std::span<BlockAddress>(ring + start, recency_sizes_[set]));
+    recency_heads_[set] = start & ring_mask_;
+  }
   next_block_id_ = reader.u64();
 }
 

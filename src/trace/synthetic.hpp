@@ -89,9 +89,15 @@ class SyntheticTraceGenerator {
   /// Number of distinct blocks ever touched (footprint so far).
   std::uint64_t blocks_allocated() const { return next_block_id_; }
 
-  /// Serializes the model name, RNG state, recency rings and block counter.
-  /// Restore asserts the geometry echo and re-resolves the model by name
-  /// from the SPEC2000 registry (the sampler is rebuilt deterministically).
+  /// Serializes the model name, RNG state, the per-set live windows of the
+  /// recency rings and the block counter. A window is written MRU first
+  /// behind the set sizes and the total live count; ring heads and dead
+  /// slots are not state (no access reads them), so a sampled boundary
+  /// costs its live entries, not num_sets x ring capacity. Restore asserts
+  /// the geometry echo, every size <= max_depth and the live count, lays
+  /// each window at the ring's end (the layout of a set that never
+  /// wrapped), and re-resolves the model by name from the SPEC2000
+  /// registry (the sampler is rebuilt deterministically).
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -101,9 +107,10 @@ class SyntheticTraceGenerator {
 
   /// Undo record for one batched access, applied in reverse order by
   /// truncate_batch. A fresh insert (depth == kUndoFresh) restores the
-  /// head slot's prior bytes — including dead-slot bytes, so snapshots of
-  /// a rewound generator stay byte-identical — while a re-touch at depth d
-  /// runs the inverse rotation.
+  /// slot the insert overwrote: when the ring capacity equals max_depth
+  /// (any power-of-two depth, production's 128 included) and the set is
+  /// full, that slot held the LRU entry, which the rewind must bring back.
+  /// A re-touch at depth d runs the inverse rotation.
   struct UndoRecord {
     std::uint32_t set = 0;
     std::uint32_t depth = 0;

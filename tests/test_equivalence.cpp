@@ -27,6 +27,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -555,51 +556,58 @@ TEST(GeneratorEquivalence, BatchedRefillWithTruncationMatchesScalarStream) {
   // the unconsumed suffix with truncate_batch() before any snapshot, model
   // switch or core reset. Random cut points must never leak into simulated
   // state: the consumed accesses and the snapshot bytes equal those of a
-  // generator advanced by scalar next().
+  // generator advanced by scalar next(). Depth 48 (ring capacity 64) has
+  // dead slots; at depth 32 the capacity equals max_depth, as in
+  // production, so a fresh insert into a full set overwrites its LRU entry
+  // and only undo's restore of that slot brings it back.
   const auto& model_a = trace::spec2000_by_name("gcc");
   const auto& model_b = trace::spec2000_by_name("swim");
-  trace::GeneratorConfig config;
-  config.num_sets = 64;
-  config.max_depth = 48;  // not a power of two: exercises ring wrap
-  config.core = 2;
-  trace::SyntheticTraceGenerator batched(model_a, config, 91);
-  trace::SyntheticTraceGenerator scalar(model_a, config, 91);
+  for (const WayCount depth : {WayCount{48}, WayCount{32}}) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    trace::GeneratorConfig config;
+    config.num_sets = 64;
+    config.max_depth = depth;
+    config.core = 2;
+    trace::SyntheticTraceGenerator batched(model_a, config, 91);
+    trace::SyntheticTraceGenerator scalar(model_a, config, 91);
 
-  constexpr std::uint32_t kSizes[] = {1, 7, trace::AccessBatch::kMaxSize};
-  constexpr std::size_t kRefills = 6'000;
-  common::Rng rng(0xBA7C);
-  trace::AccessBatch batch;
-  std::uint32_t outstanding = 0;  // size of a fully consumed, unretired batch
-  const auto retire = [&] {
-    if (batched.batch_outstanding()) batched.truncate_batch(outstanding);
-  };
-  for (std::size_t refill = 0; refill < kRefills; ++refill) {
-    if (refill == kRefills / 2) {
-      retire();
-      batched.switch_model(model_b);
-      scalar.switch_model(model_b);
+    constexpr std::uint32_t kSizes[] = {1, 7, trace::AccessBatch::kMaxSize};
+    constexpr std::size_t kRefills = 6'000;
+    common::Rng rng(0xBA7C);
+    trace::AccessBatch batch;
+    std::uint32_t outstanding = 0;  // size of a fully consumed, unretired batch
+    const auto retire = [&] {
+      if (batched.batch_outstanding()) batched.truncate_batch(outstanding);
+    };
+    for (std::size_t refill = 0; refill < kRefills; ++refill) {
+      if (refill == kRefills / 2) {
+        retire();
+        batched.switch_model(model_b);
+        scalar.switch_model(model_b);
+      }
+      const std::uint32_t n = kSizes[rng.next_below(3)];
+      const auto consumed = static_cast<std::uint32_t>(rng.next_below(n + 1));
+      batched.next_batch(batch, n);
+      ASSERT_EQ(batch.size, n);
+      for (std::uint32_t i = 0; i < consumed; ++i) {
+        const auto want = scalar.next();
+        ASSERT_EQ(batch.accesses[i].block, want.block)
+            << "refill " << refill << " lane " << i;
+        ASSERT_EQ(batch.accesses[i].core, want.core) << "refill " << refill << " lane " << i;
+        ASSERT_EQ(batch.accesses[i].is_write, want.is_write)
+            << "refill " << refill << " lane " << i;
+      }
+      // A fully consumed batch may stay outstanding: the next refill retires it.
+      outstanding = n;
+      if (consumed < n || rng.next_bool(0.5)) batched.truncate_batch(consumed);
+      if (!batched.batch_outstanding() && refill % 64 == 0) {
+        ASSERT_EQ(generator_bytes(batched), generator_bytes(scalar)) << "refill " << refill;
+      }
     }
-    const std::uint32_t n = kSizes[rng.next_below(3)];
-    const auto consumed = static_cast<std::uint32_t>(rng.next_below(n + 1));
-    batched.next_batch(batch, n);
-    ASSERT_EQ(batch.size, n);
-    for (std::uint32_t i = 0; i < consumed; ++i) {
-      const auto want = scalar.next();
-      ASSERT_EQ(batch.accesses[i].block, want.block) << "refill " << refill << " lane " << i;
-      ASSERT_EQ(batch.accesses[i].core, want.core) << "refill " << refill << " lane " << i;
-      ASSERT_EQ(batch.accesses[i].is_write, want.is_write)
-          << "refill " << refill << " lane " << i;
-    }
-    // A fully consumed batch may stay outstanding: the next refill retires it.
-    outstanding = n;
-    if (consumed < n || rng.next_bool(0.5)) batched.truncate_batch(consumed);
-    if (!batched.batch_outstanding() && refill % 64 == 0) {
-      ASSERT_EQ(generator_bytes(batched), generator_bytes(scalar)) << "refill " << refill;
-    }
+    retire();
+    EXPECT_EQ(generator_bytes(batched), generator_bytes(scalar));
+    EXPECT_EQ(batched.blocks_allocated(), scalar.blocks_allocated());
   }
-  retire();
-  EXPECT_EQ(generator_bytes(batched), generator_bytes(scalar));
-  EXPECT_EQ(batched.blocks_allocated(), scalar.blocks_allocated());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "harness/experiments.hpp"
 #include "harness/snapshot_cache.hpp"
+#include "sampling/sampled_run.hpp"
 #include "sim/system.hpp"
 #include "sim/system_config.hpp"
 #include "snapshot/codec.hpp"
@@ -123,6 +124,58 @@ TEST(SystemSnapshot, RestoreResumesBitIdentically) {
   twin_a.restore_state(snapshot);
   const auto resaved = twin_a.save_state();
   EXPECT_EQ(resaved.bytes, snapshot.bytes);
+}
+
+TEST(SystemSnapshot, RestoreOverRunSystemMatchesFreshRestore) {
+  // Restore rebuilds the L2 residency index from the banks and lays each
+  // generator window at the end of its ring, so whatever the target held
+  // before (stale residency entries, dirty dead ring slots, heads anywhere)
+  // must not leak. NoPartition migrates lines (SharedDnuca); Cascade
+  // demotes them down the chain.
+  const auto mix = capacity_diverse_mix();
+  for (const bool cascade : {false, true}) {
+    SCOPED_TRACE(cascade ? "EqualPartition + Cascade" : "NoPartition");
+    sim::SystemConfig config = sim::SystemConfig::baseline();
+    config.policy =
+        cascade ? sim::PolicyKind::EqualPartition : sim::PolicyKind::NoPartition;
+    if (cascade) config.aggregation = nuca::AggregationKind::Cascade;
+    config.epoch_cycles = 1'500'000;
+    config.finalize();
+
+    sim::System original(config, mix);
+    original.warm_up(400'000);
+    const auto snapshot = original.save_state();
+
+    sim::System fresh(config, mix);
+    fresh.restore_state(snapshot);
+    sim::System used(config, mix);
+    used.run(300'000);
+    used.restore_state(snapshot);
+
+    for (const sim::System* system : {&fresh, &used}) {
+      const auto report = audit::audit_system(*system);
+      EXPECT_TRUE(report.ok()) << report.to_string();
+      EXPECT_EQ(system->save_state().bytes, snapshot.bytes);
+    }
+    fresh.run(600'000);
+    used.run(600'000);
+    EXPECT_EQ(fresh.results().to_json().dump(), used.results().to_json().dump());
+  }
+}
+
+TEST(SystemSnapshot, SampledBoundarySnapshotHoldsOnlyLiveState) {
+  // Size guard: a sampled boundary carries the generators' live windows,
+  // not their rings. One core's dense ring array alone would be 2048 sets
+  // x 128 slots x 8 B = 2 MB; all eight cores' live windows stay below it.
+  const auto config =
+      sampling::sampled_system_config(partition::CmpGeometry{}, 2009, 20'000);
+  sim::System system(config, capacity_diverse_mix());
+  system.warm_up(60'000);
+  const auto snapshot = system.save_state();
+  const snapshot::SnapshotView view(snapshot);
+  EXPECT_LT(view.section(snapshot::SectionId::Generators).remaining(),
+            std::size_t{2048} * 128 * sizeof(BlockAddress));
+  EXPECT_LT(snapshot.size_bytes(), std::size_t{8} << 20);
 }
 
 TEST(SystemSnapshot, RestoreRejectsMismatchedConfig) {

@@ -3,11 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "audit/component_audit.hpp"
+#include "common/rng.hpp"
 #include "msa/stack_profiler.hpp"
+#include "snapshot/codec.hpp"
 #include "trace/spec2000.hpp"
 
 namespace bacp::trace {
+
+/// Test-only backdoor into a generator's ring layout: shapes the window
+/// sizes a test needs and reads back where the windows sit.
+struct GeneratorTestPeer {
+  static std::uint32_t head(const SyntheticTraceGenerator& generator,
+                            std::uint32_t set) {
+    return generator.recency_heads_[set];
+  }
+  static std::uint32_t& size(SyntheticTraceGenerator& generator, std::uint32_t set) {
+    return generator.recency_sizes_[set];
+  }
+  static std::uint32_t capacity(const SyntheticTraceGenerator& generator) {
+    return generator.ring_capacity_;
+  }
+};
+
 namespace {
 
 GeneratorConfig small_config(CoreId core = 0) {
@@ -84,6 +105,131 @@ TEST(SyntheticGenerator, FootprintGrowsWithColdFraction) {
     b.next();
   }
   EXPECT_GT(a.blocks_allocated(), 2 * b.blocks_allocated());
+}
+
+std::vector<std::uint8_t> generator_bytes(const SyntheticTraceGenerator& generator) {
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  generator.save_state(writer);
+  return bytes;
+}
+
+/// A Generators payload written field by field: set s holds a window of
+/// sizes[s] distinct blocks stamped as fresh_block() would, and the stored
+/// live count is their total plus `count_skew` (nonzero malforms it).
+std::vector<std::uint8_t> generator_payload(const GeneratorConfig& config,
+                                            const std::vector<std::uint32_t>& sizes,
+                                            std::uint64_t count_skew = 0) {
+  std::vector<BlockAddress> windows;
+  const auto set_bits = log2_floor(config.num_sets);
+  for (std::uint32_t set = 0; set < config.num_sets; ++set) {
+    for (std::uint32_t depth = 0; depth < sizes[set]; ++depth) {
+      windows.push_back((std::uint64_t{config.core} << 52) |
+                        (std::uint64_t{windows.size()} << set_bits) | set);
+    }
+  }
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  writer.u32(config.num_sets);
+  writer.u32(config.max_depth);
+  writer.u32(config.core);
+  writer.str("gzip");
+  for (const std::uint64_t word : common::Rng(99, config.core).state()) writer.u64(word);
+  writer.scalars(std::span<const std::uint32_t>(sizes));
+  writer.u64(windows.size() + count_skew);
+  writer.raw_scalars(std::span<const BlockAddress>(windows));
+  writer.u64(windows.size());  // block counter: every id above is in use
+  return bytes;
+}
+
+void restore_bytes(SyntheticTraceGenerator& generator,
+                   const std::vector<std::uint8_t>& bytes) {
+  snapshot::Reader reader(bytes);
+  generator.restore_state(reader);
+  ASSERT_TRUE(reader.exhausted());
+}
+
+TEST(SyntheticGenerator, SaveRestoreRoundTripsWrappedLiveWindows) {
+  // Snapshots carry each set's live window, not ring slots. Cover every
+  // window shape a restore must rebuild: empty, partial and full sets,
+  // heads that have wrapped and windows that cross the ring end — at a
+  // depth whose ring capacity equals max_depth (32) and one whose ring has
+  // dead slots (48, capacity 64).
+  for (const WayCount depth : {WayCount{32}, WayCount{48}}) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    GeneratorConfig config;
+    config.num_sets = 64;
+    config.max_depth = depth;
+    config.core = 5;
+    // A long run fills every set and leaves its head anywhere in the ring;
+    // shrinking windows (dropping LRU entries, a valid if unnatural state)
+    // then adds empty and partial sets.
+    SyntheticTraceGenerator original(spec2000_by_name("swim"), config, 41);
+    for (int i = 0; i < 20'000; ++i) (void)original.next();
+    std::uint32_t empty = 0, partial = 0, full = 0, crossing = 0;
+    for (std::uint32_t set = 0; set < config.num_sets; ++set) {
+      std::uint32_t& size = GeneratorTestPeer::size(original, set);
+      if (set % 3 == 0) size = 0;
+      if (set % 3 == 2) size = set % depth;
+      empty += size == 0 ? 1u : 0u;
+      partial += size > 0 && size < depth ? 1u : 0u;
+      full += size == depth ? 1u : 0u;
+      crossing += GeneratorTestPeer::head(original, set) + size >
+                          GeneratorTestPeer::capacity(original)
+                      ? 1u
+                      : 0u;
+    }
+    ASSERT_GT(empty, 0u);
+    ASSERT_GT(partial, 0u);
+    ASSERT_GT(full, 0u);
+    ASSERT_GT(crossing, 0u);
+    const auto audit = audit::audit_trace_generator(original);
+    ASSERT_TRUE(audit.ok()) << audit.to_string();
+
+    // Restore into a generator with another model, seed and history: dirty
+    // dead slots and heads elsewhere in the ring.
+    const auto bytes = generator_bytes(original);
+    SyntheticTraceGenerator restored(spec2000_by_name("gcc"), config, 7);
+    for (int i = 0; i < 20'000; ++i) (void)restored.next();
+    restore_bytes(restored, bytes);
+    EXPECT_EQ(generator_bytes(restored), bytes);
+    const auto restored_audit = audit::audit_trace_generator(restored);
+    EXPECT_TRUE(restored_audit.ok()) << restored_audit.to_string();
+    for (int i = 0; i < 10'000; ++i) {
+      const auto want = original.next();
+      const auto got = restored.next();
+      ASSERT_EQ(got.block, want.block) << "access " << i;
+      ASSERT_EQ(got.is_write, want.is_write) << "access " << i;
+    }
+    EXPECT_EQ(generator_bytes(restored), generator_bytes(original));
+  }
+}
+
+GeneratorConfig tiny_config() {
+  GeneratorConfig config;
+  config.num_sets = 8;
+  config.max_depth = 32;
+  return config;
+}
+
+TEST(SyntheticGeneratorDeath, RestoreRejectsSizeAboveMaxDepth) {
+  const GeneratorConfig config = tiny_config();
+  // One set claims a window deeper than any ring may hold; the live count
+  // and the window bytes agree with the claim.
+  std::vector<std::uint32_t> sizes(config.num_sets, 2);
+  sizes[3] = config.max_depth + 1;
+  const auto bytes = generator_payload(config, sizes);
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  EXPECT_DEATH(restore_bytes(generator, bytes), "above max_depth");
+}
+
+TEST(SyntheticGeneratorDeath, RestoreRejectsLiveCountMismatch) {
+  const GeneratorConfig config = tiny_config();
+  const auto bytes =
+      generator_payload(config, std::vector<std::uint32_t>(config.num_sets, 4),
+                        /*count_skew=*/1);
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  EXPECT_DEATH(restore_bytes(generator, bytes), "live recency count");
 }
 
 /// The defining property: the generated stream's MSA histogram converges to
