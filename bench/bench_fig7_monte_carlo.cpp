@@ -5,82 +5,21 @@
 //
 // Flags: --trials, --seed, --threads, --json-out, --csv-out (legacy env
 // knobs BACP_MC_TRIALS, BACP_MC_SEED, BACP_THREADS still work).
-//
-// Process sharding: `--shards N --shard-id k --shard-out slice.shard`
-// evaluates only the trials owned by shard k (trial % N == k) and writes a
-// shard artifact instead of the report; `--merge DIR` loads every *.shard
-// file in DIR, audits merge legality (refusing on any violation) and emits
-// the combined report — byte-identical to an unsharded run of the same
-// sweep, so mix counts scale with machines, not cores.
 
-#include <algorithm>
-#include <filesystem>
 #include <iostream>
-#include <string>
-#include <vector>
 
 #include "harness/monte_carlo.hpp"
-#include "harness/shard_io.hpp"
 #include "obs/report.hpp"
-
-namespace {
-
-int run_merge(const std::string& directory, const bacp::obs::ReportOptions& options) {
-  using namespace bacp;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
-    if (entry.path().extension() == ".shard") paths.push_back(entry.path().string());
-  }
-  // Artifact order must not matter, but scan order is filesystem-dependent;
-  // sort so diagnostics are stable run to run.
-  std::sort(paths.begin(), paths.end());
-  if (paths.empty()) {
-    std::cerr << "error: no *.shard artifacts in " << directory << "\n";
-    return 1;
-  }
-
-  std::vector<harness::ShardArtifact> artifacts;
-  artifacts.reserve(paths.size());
-  for (const std::string& path : paths) {
-    artifacts.push_back(harness::load_shard_artifact(path));
-  }
-
-  const auto merged = harness::merge_shard_artifacts(artifacts);
-  if (!merged.audit.ok()) {
-    std::cerr << "error: shard merge refused:\n" << merged.audit.to_string();
-    return 1;
-  }
-  const auto report = harness::monte_carlo_report(merged.config, merged.summary);
-  return report.emit(std::cout, options) ? 0 : 1;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bacp;
 
-  auto flags = obs::with_report_flags(harness::MonteCarloConfig::cli_flags());
-  flags.emplace_back("shard-out=", "write this shard's slice artifact here (no report)");
-  flags.emplace_back("merge=", "merge every *.shard artifact in this directory");
-  common::ArgParser parser(std::move(flags));
+  common::ArgParser parser(obs::with_report_flags(harness::MonteCarloConfig::cli_flags()));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
-  if (parser.has("merge")) return run_merge(parser.require_string("merge"), options);
-
   const auto config = harness::MonteCarloConfig::from_args(parser);
   const auto summary = harness::run_monte_carlo(config);
-
-  if (config.shards > 1 || parser.has("shard-out")) {
-    // A shard's summary has holes, so there is no report to emit — only the
-    // slice artifact the merge step consumes.
-    const std::string out = parser.require_string("shard-out");
-    harness::save_shard_artifact(harness::make_shard_artifact(config, summary), out);
-    std::cout << "shard " << config.shard_id << "/" << config.shards << " -> " << out
-              << "\n";
-    return 0;
-  }
-
   const auto report = harness::monte_carlo_report(config, summary);
   return report.emit(std::cout, options) ? 0 : 1;
 }

@@ -12,8 +12,8 @@
 //   - sampled:  run_monte_carlo --sampled against a *warm* snapshot bank —
 //               an untimed populate sweep fills a file bank with every
 //               boundary state, then the timed sweep replays the identical
-//               trials from it. This is the production shape (shards and
-//               re-sweeps share a bank; PR 8), and it isolates per-trial
+//               trials from it. This is the production shape (re-sweeps
+//               and processes share a bank), and it isolates per-trial
 //               *start* cost — System setup, snapshot load, restore —
 //               which pooling + zero-copy restore attack, over the
 //               irreducible detailed-interval floor.
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
     // Warm snapshot bank: unless the caller supplied one, populate a
     // private bank with an untimed sweep of the identical trials, so the
     // timed sweep loads every boundary state from the bank instead of
-    // re-warming — the repeated-sweep / multi-shard steady state whose
-    // per-trial start cost this surface tracks.
+    // re-warming — the repeated-sweep steady state whose per-trial start
+    // cost this surface tracks.
     std::string bank = config.snapshot_bank;
     if (bank.empty()) {
       std::string pattern =

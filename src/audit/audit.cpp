@@ -21,7 +21,6 @@ const char* to_string(Structure structure) {
     case Structure::Cross: return "cross";
     case Structure::Snapshot: return "snapshot";
     case Structure::Sched: return "sched";
-    case Structure::Shard: return "shard";
     case Structure::Sampling: return "sampling";
     case Structure::Component: return "component";
     case Structure::Pool: return "pool";

@@ -33,7 +33,6 @@ enum class Structure : std::uint8_t {
   Cross,      ///< cross-structure agreement (inclusion, directory vs. L1s)
   Snapshot,   ///< snapshot buffer framing (header, section table, checksums)
   Sched,      ///< sched::Service tenant table vs. system slot/allocation state
-  Shard,      ///< Monte-Carlo shard set legality (coverage, ownership, digests)
   Sampling,   ///< interval-sampling plan legality (medoids, assignment, weights)
   Component,  ///< single-component state (NoC, DRAM, generators, profilers,
               ///< core timers, epoch series — see component_audit.hpp)

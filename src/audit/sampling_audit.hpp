@@ -8,10 +8,9 @@
 namespace bacp::audit {
 
 /// What one mix's interval-sampling plan claims about itself, stripped to
-/// the facts the legality audit needs (the ShardMergeInput pattern: the
-/// audit layer stays independent of bacp::sampling — the engine builds this
-/// from its k-medoids output and the auditor never sees feature vectors or
-/// simulation state).
+/// the facts the legality audit needs, so the audit layer stays independent
+/// of bacp::sampling: the engine builds this from its k-medoids output and
+/// the auditor never sees feature vectors or simulation state.
 struct SamplingPlanInput {
   std::uint32_t num_intervals = 0;  ///< population the plan extrapolates to
   std::uint32_t k = 0;              ///< representative intervals simulated

@@ -89,8 +89,8 @@ bool copy_bytes_synced(const std::string& from, const std::string& to) {
 }
 
 /// Process-unique sibling temp name next to `final_path`, so concurrent
-/// shard processes publishing into one bank never clobber each other's
-/// staging files.
+/// processes publishing into one bank never clobber each other's staging
+/// files.
 std::string sibling_temp(const std::string& final_path) {
   return final_path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
 }

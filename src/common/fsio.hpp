@@ -61,8 +61,8 @@ class MappedFile {
 ///
 /// On success the temp file is gone (renamed or copied-then-removed). On
 /// failure the temp file is removed and false is returned; the caller
-/// decides whether that is fatal (shard artifacts) or a tolerable cache
-/// miss (snapshot banks).
+/// decides whether that is fatal or, as for snapshot banks, a tolerable
+/// cache miss.
 bool publish_file_atomic(const std::string& temp_path, const std::string& final_path);
 
 /// The EXDEV fallback half of publish_file_atomic, exposed so tests can

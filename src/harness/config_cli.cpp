@@ -1,5 +1,10 @@
 #include "harness/config_cli.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <system_error>
+
 #include "common/env.hpp"
 
 namespace bacp::harness {
@@ -36,6 +41,17 @@ std::string read_string(const common::ArgParser& parser, const EnvFlag& knob,
   const std::string backed =
       knob.env[0] != '\0' ? common::env_string(knob.env, fallback) : fallback;
   return parser.get(knob.flag, backed);
+}
+
+std::string read_snapshot_bank(const common::ArgParser& parser) {
+  std::string bank = read_string(parser, kSnapshotBankKnob, "");
+  std::error_code error;
+  if (!bank.empty() && !(std::filesystem::is_directory(bank, error) &&
+                         ::access(bank.c_str(), W_OK | X_OK) == 0)) {
+    parser.fatal_usage("--" + std::string(kSnapshotBankKnob.flag) + "=" + bank +
+                       ": not a writable directory");
+  }
+  return bank;
 }
 
 std::size_t read_threads(const common::ArgParser& parser, std::size_t fallback) {

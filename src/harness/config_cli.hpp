@@ -50,13 +50,10 @@ inline constexpr EnvFlag kTrialsKnob{"trials", "BACP_MC_TRIALS", "Monte-Carlo tr
 inline constexpr EnvFlag kMcSeedKnob{"seed", "BACP_MC_SEED", "Monte-Carlo seed"};
 inline constexpr EnvFlag kThreadsKnob{"threads", "BACP_THREADS",
                                       "worker threads, 0 = hardware"};
-inline constexpr EnvFlag kShardsKnob{"shards", "BACP_MC_SHARDS",
-                                     "Monte-Carlo process shard count"};
-inline constexpr EnvFlag kShardIdKnob{"shard-id", "BACP_MC_SHARD_ID",
-                                      "this process's shard index in [0, shards)"};
 inline constexpr EnvFlag kSnapshotBankKnob{
     "snapshot-bank", "BACP_SNAPSHOT_BANK",
-    "directory for file-backed warm-state snapshots, empty = in-memory only"};
+    "existing writable directory for file-backed warm-state snapshots, "
+    "empty = in-memory only"};
 inline constexpr EnvFlag kSampledKnob{
     "sampled", "BACP_MC_SAMPLED",
     "detailed intervals simulated per sampled Monte-Carlo trial, 0 = analytic only"};
@@ -77,6 +74,13 @@ inline constexpr EnvFlag kMmapKnob{
     "mmap", "BACP_MMAP",
     "snapshot-bank read path: auto = mmap zero-copy, off = buffered "
     "(speed dial; results are byte-identical either way)"};
+
+/// The shared `--snapshot-bank` / BACP_SNAPSHOT_BANK knob. Empty disables
+/// the file bank; any other value must name an existing directory this
+/// process can write, or the read is a fatal usage error (exit 2). A bank
+/// that fails later, e.g. on a full disk, still degrades to in-memory
+/// reuse inside SnapshotCache.
+std::string read_snapshot_bank(const common::ArgParser& parser);
 
 /// The shared `--threads` / BACP_THREADS knob. Every sweep in the repo is
 /// deterministic for any worker count, so this is purely a speed dial.

@@ -31,7 +31,7 @@ DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) 
   config.seed = read_u64(parser, kSimSeedKnob, config.seed);
   config.num_threads = read_threads(parser, config.num_threads);
   config.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
-  config.snapshot_bank = read_string(parser, kSnapshotBankKnob, config.snapshot_bank);
+  config.snapshot_bank = read_snapshot_bank(parser);
   return config;
 }
 

@@ -85,7 +85,8 @@ struct DetailedRunConfig {
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the
   /// BACP_SIM_{WARMUP,INSTR,EPOCH,SEED}, BACP_THREADS and BACP_SNAPSHOT_BANK
-  /// environment knobs, then the built-in defaults.
+  /// environment knobs, then the built-in defaults. An unusable
+  /// --snapshot-bank exits 2.
   static DetailedRunConfig from_args(const common::ArgParser& parser);
 };
 

@@ -28,8 +28,6 @@ std::vector<std::pair<std::string, std::string>> MonteCarloConfig::cli_flags() {
       value_flag(kTrialsKnob),
       value_flag(kMcSeedKnob),
       value_flag(kThreadsKnob),
-      value_flag(kShardsKnob),
-      value_flag(kShardIdKnob),
       value_flag(kSampledKnob),
       value_flag(kSampledIntervalsKnob),
       value_flag(kSampledIntervalInstrKnob),
@@ -45,9 +43,6 @@ MonteCarloConfig MonteCarloConfig::from_args(const common::ArgParser& parser) {
   config.trials = static_cast<std::size_t>(read_u64(parser, kTrialsKnob, config.trials));
   config.seed = read_u64(parser, kMcSeedKnob, config.seed);
   config.num_threads = read_threads(parser, config.num_threads);
-  config.shards = static_cast<std::uint32_t>(read_u64(parser, kShardsKnob, config.shards));
-  config.shard_id =
-      static_cast<std::uint32_t>(read_u64(parser, kShardIdKnob, config.shard_id));
   config.sampled_k =
       static_cast<std::uint32_t>(read_u64(parser, kSampledKnob, config.sampled_k));
   config.sampled_intervals = static_cast<std::uint32_t>(
@@ -55,7 +50,7 @@ MonteCarloConfig MonteCarloConfig::from_args(const common::ArgParser& parser) {
   config.sampled_interval_instructions = read_u64(parser, kSampledIntervalInstrKnob,
                                                   config.sampled_interval_instructions);
   config.sampled_warmup = read_u64(parser, kSampledWarmupKnob, config.sampled_warmup);
-  config.snapshot_bank = read_string(parser, kSnapshotBankKnob, config.snapshot_bank);
+  config.snapshot_bank = read_snapshot_bank(parser);
   config.pool = read_toggle(parser, kPoolKnob, config.pool);
   config.mmap = read_toggle(parser, kMmapKnob, config.mmap);
   return config;
@@ -114,8 +109,6 @@ class CacheSnapshotStore final : public sampling::SnapshotStore {
 
 MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
   BACP_ASSERT(config.trials > 0, "need at least one trial");
-  BACP_ASSERT(config.shards > 0, "need at least one shard");
-  BACP_ASSERT(config.shard_id < config.shards, "shard id outside [0, shards)");
   config.geometry.validate();
   const auto& suite = trace::spec2000_suite();
   const WayCount even_share =
@@ -124,23 +117,15 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
   MonteCarloSummary summary;
   summary.trials.resize(config.trials);
 
-  // Owned slice: trial = shard_id, shard_id + shards, ... Trial RNG streams
-  // are seeded by the *global* trial index, so shard k evaluates exactly the
-  // mixes the unsharded sweep would assign to those slots.
-  const std::size_t owned =
-      config.trials > config.shard_id
-          ? (config.trials - config.shard_id + config.shards - 1) / config.shards
-          : 0;
-
   const auto timer = obs::global_phase_timers().scope("monte_carlo");
   const auto bank = suite_curve_bank(config.curve_depth);
 
   // Sampled-mode shared state: one interval-profile bank and one warm-state
   // cache serve every trial — both are thread-safe memoizations of
-  // deterministic functions, so sharing them across ThreadPool workers (and
-  // reusing nothing across shard processes) cannot perturb any trial's
-  // bytes. The sim seed is the sweep seed: profiles, snapshot keys and
-  // trial mixes all hang off the one number the artifact records.
+  // deterministic functions, so sharing them across ThreadPool workers
+  // cannot perturb any trial's bytes. The sim seed is the sweep seed:
+  // profiles, snapshot keys and trial mixes all hang off the one number the
+  // artifact records.
   sim::SystemConfig sampled_config;
   std::unique_ptr<sampling::IntervalProfileBank> profile_bank;
   SnapshotCache snapshot_cache;
@@ -167,8 +152,7 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
   }
 
   common::ThreadPool pool(config.num_threads);
-  pool.parallel_for(owned, [&](std::size_t index) {
-    const std::size_t trial = config.shard_id + index * config.shards;
+  pool.parallel_for(config.trials, [&](std::size_t trial) {
     // Per-trial RNG stream: identical mixes regardless of thread count.
     common::Rng rng(config.seed, trial);
     TrialResult result;
@@ -209,8 +193,7 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
     summary.trials[trial] = std::move(result);
   });
 
-  // A shard carries holes by design; only a complete sweep finalizes here.
-  if (config.shards == 1) finalize_monte_carlo(summary);
+  finalize_monte_carlo(summary);
   return summary;
 }
 
@@ -225,8 +208,8 @@ void finalize_monte_carlo(MonteCarloSummary& summary) {
   std::vector<double> sampled_cpis;
   for (const auto& trial : summary.trials) {
     BACP_ASSERT(trial.fixed_share_misses > 0.0, "degenerate mix with zero misses");
-    // All-or-nothing: a merge that mixed sampled and analytic-only shards
-    // would average incomparable quantities.
+    // All-or-nothing: a trial vector that mixed sampled and analytic-only
+    // trials would average incomparable quantities.
     BACP_ASSERT(trial.sampled.evaluated == sampled,
                 "trial vector mixes sampled and unsampled entries");
     unrestricted_ratios.push_back(trial.unrestricted_ratio());

@@ -22,11 +22,6 @@ struct MonteCarloConfig {
   partition::CmpGeometry geometry;
   WayCount curve_depth = 128;
   std::size_t num_threads = 0;  ///< 0 = hardware concurrency
-  /// Process sharding: trial t is owned by shard t % shards, so a sweep
-  /// splits across machines without coordination. shards == 1 is the
-  /// ordinary single-process sweep.
-  std::uint32_t shards = 1;
-  std::uint32_t shard_id = 0;
   /// Sampled-interval simulation (bacp::sampling): when > 0, every trial's
   /// mix is additionally run through the detailed simulator over
   /// `sampled_k` k-medoid-selected representative intervals and the full
@@ -36,10 +31,9 @@ struct MonteCarloConfig {
   std::uint32_t sampled_intervals = 96;
   std::uint64_t sampled_interval_instructions = 50'000;
   std::uint64_t sampled_warmup = 500'000;
-  /// Directory for file-backed boundary snapshots shared across shard
-  /// processes and repeated sweeps (SnapshotCache::set_file_bank); empty =
-  /// in-memory reuse only. Sampled mode only — analytic trials never
-  /// snapshot.
+  /// Directory for file-backed boundary snapshots shared across repeated
+  /// sweeps and processes (SnapshotCache::set_file_bank); empty = in-memory
+  /// reuse only. Sampled mode only — analytic trials never snapshot.
   std::string snapshot_bank;
   /// System pooling for sampled trials (harness::SystemPool): reuse one
   /// constructed System per worker via reset_in_place instead of paying
@@ -68,14 +62,6 @@ struct MonteCarloConfig {
   }
   MonteCarloConfig& with_num_threads(std::size_t value) {
     num_threads = value;
-    return *this;
-  }
-  MonteCarloConfig& with_shards(std::uint32_t value) {
-    shards = value;
-    return *this;
-  }
-  MonteCarloConfig& with_shard_id(std::uint32_t value) {
-    shard_id = value;
     return *this;
   }
   MonteCarloConfig& with_sampled_k(std::uint32_t value) {
@@ -113,7 +99,7 @@ struct MonteCarloConfig {
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the
   /// legacy BACP_MC_{TRIALS,SEED} / BACP_THREADS environment knobs, then
-  /// the built-in defaults.
+  /// the built-in defaults. An unusable --snapshot-bank exits 2.
   static MonteCarloConfig from_args(const common::ArgParser& parser);
 };
 
@@ -127,7 +113,8 @@ struct TrialResult {
 
   /// Sampled-interval detailed-simulation extrapolation for this mix
   /// (sampled_k > 0 sweeps only); `evaluated` distinguishes "sampling off"
-  /// from a genuine zero estimate so merges cannot silently mix modes.
+  /// from a genuine zero estimate, so finalize_monte_carlo can refuse a
+  /// trial vector that mixes the two modes.
   struct SampledTrial {
     bool evaluated = false;
     double miss_ratio = 0.0;
@@ -150,19 +137,16 @@ struct MonteCarloSummary {
   double mean_sampled_cpi = 0.0;
 };
 
-/// Runs the sweep across a thread pool. Deterministic for a fixed seed
-/// regardless of thread count (per-trial RNG streams). With config.shards
-/// > 1 only the owned slice (trial % shards == shard_id) is evaluated:
-/// unowned entries of the returned summary stay default-initialized and the
-/// headline means stay zero — shard_io's merge reassembles the full trial
-/// vector from every shard's artifact and finalizes the combined summary,
-/// so the merged report is byte-identical to an unsharded run.
+/// Runs the sweep across a thread pool and finalizes it. Deterministic for
+/// a fixed seed regardless of thread count: trial t draws from its own RNG
+/// stream Rng(seed, t), so it depends only on the seed and its index.
 MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config);
 
 /// Computes the headline mean ratios from a *complete* trial vector (every
-/// slot evaluated). Shared by the unsharded path and the shard merge; the
-/// zero-miss assert fires on any unevaluated slot, so a summary with holes
-/// cannot be finalized by accident.
+/// slot evaluated). run_monte_carlo calls it, and so can a caller that
+/// assembles the trial vector itself; the zero-miss assert fires on any
+/// unevaluated slot, so a summary with holes cannot be finalized by
+/// accident.
 void finalize_monte_carlo(MonteCarloSummary& summary);
 
 /// The canonical Fig. 7 result artifact: headline mean ratios, the outlier

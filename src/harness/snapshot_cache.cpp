@@ -119,8 +119,8 @@ void SnapshotCache::store(const std::string& directory, std::uint64_t key,
                           const snapshot::SystemSnapshot& snapshot) {
   const std::string path = bank_path(directory, key);
   // Stage in TMPDIR when set (typically the fastest scratch filesystem),
-  // with a process-unique name so concurrent shard processes sharing one
-  // bank never collide on the staging file. TMPDIR may be a different
+  // with a process-unique name so concurrent processes sharing one bank
+  // never collide on the staging file. TMPDIR may be a different
   // filesystem than the bank — publish_file_atomic absorbs the EXDEV
   // rename by falling back to copy+fsync+rename inside the bank directory.
   char name[48];
@@ -175,7 +175,7 @@ VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& pars
   VariantSweepOptions options;
   options.num_threads = read_threads(parser, options.num_threads);
   options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
-  options.snapshot_bank = read_string(parser, kSnapshotBankKnob, options.snapshot_bank);
+  options.snapshot_bank = read_snapshot_bank(parser);
   options.pool = read_toggle(parser, kPoolKnob, options.pool);
   options.mmap = read_toggle(parser, kMmapKnob, options.mmap);
   return options;

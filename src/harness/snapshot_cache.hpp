@@ -41,8 +41,9 @@ class SnapshotCache {
   /// validation discards the file's bytes and rewarms (the bank is a pure
   /// cache — a corrupt entry can cost time, never correctness). Freshly
   /// warmed snapshots are published via temp file + atomic rename, so
-  /// concurrent shard processes sharing one bank never read a torn file.
-  /// Empty string disables (the default, in-memory only).
+  /// concurrent processes sharing one bank never read a torn file. A store
+  /// that fails (missing directory, full disk) keeps the entry in memory
+  /// only. Empty string disables (the default, in-memory only).
   void set_file_bank(std::string directory) BACP_EXCLUDES(mutex_);
   std::string file_bank() const BACP_EXCLUDES(mutex_) {
     common::MutexLock lock(mutex_);
@@ -150,6 +151,7 @@ struct VariantSweepOptions {
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
   /// Standard precedence: explicit flag, then BACP_THREADS, then defaults.
+  /// An unusable --snapshot-bank exits 2.
   static VariantSweepOptions from_args(const common::ArgParser& parser);
 };
 

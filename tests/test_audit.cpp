@@ -7,7 +7,6 @@
 
 #include "audit/pool_audit.hpp"
 #include "audit/sampling_audit.hpp"
-#include "audit/shard_audit.hpp"
 #include "audit/snapshot_audit.hpp"
 #include "audit/system_audit.hpp"
 #include "cache/set_assoc_cache.hpp"
@@ -841,97 +840,6 @@ TEST(AuditSched, KillsWorkloadRebindingBehindTheScheduler) {
   Service service = small_service();
   ServiceTestPeer::workload(service, 1) += 1;
   require_violation(sched::audit_sched(service), Structure::Sched, "workload_binding");
-}
-
-// ---------------------------------------------------------------------------
-// Monte-Carlo shard merge
-// ---------------------------------------------------------------------------
-
-/// A legal 3-shard split of a 10-trial sweep (shard k owns trial t iff
-/// t % 3 == k); each kill-test below plants exactly one corruption.
-std::vector<ShardMergeInput> clean_shard_set() {
-  std::vector<ShardMergeInput> shards(3);
-  for (std::uint32_t k = 0; k < 3; ++k) {
-    shards[k].shards = 3;
-    shards[k].shard_id = k;
-    shards[k].trials = 10;
-    shards[k].config_digest = 0xD16E57;
-    for (std::uint64_t trial = k; trial < 10; trial += 3) {
-      shards[k].trial_indices.push_back(trial);
-    }
-  }
-  return shards;
-}
-
-TEST(AuditShardMerge, CleanShardSetPassesAndCountsChecks) {
-  const auto shards = clean_shard_set();
-  const AuditReport report = audit_shard_merge(shards);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(report.checks, 0u);
-}
-
-TEST(AuditShardMerge, EmptySetIsRefused) {
-  require_violation(audit_shard_merge({}), Structure::Shard, "shard_count");
-}
-
-TEST(AuditShardMerge, KillsDisagreeingShardCounts) {
-  auto shards = clean_shard_set();
-  shards[1].shards = 4;  // slice cut from a different split
-  require_violation(audit_shard_merge(shards), Structure::Shard, "shards_agreement");
-}
-
-TEST(AuditShardMerge, KillsDisagreeingTrialCounts) {
-  auto shards = clean_shard_set();
-  shards[2].trials = 12;
-  require_violation(audit_shard_merge(shards), Structure::Shard, "trials_agreement");
-}
-
-TEST(AuditShardMerge, KillsDisagreeingConfigDigests) {
-  auto shards = clean_shard_set();
-  shards[1].config_digest ^= 1;  // same shape, different sweep parameters
-  require_violation(audit_shard_merge(shards), Structure::Shard, "config_digest");
-}
-
-TEST(AuditShardMerge, KillsMissingShard) {
-  auto shards = clean_shard_set();
-  shards.pop_back();
-  require_violation(audit_shard_merge(shards), Structure::Shard, "shard_set_size");
-}
-
-TEST(AuditShardMerge, KillsShardIdBeyondCount) {
-  auto shards = clean_shard_set();
-  shards[2].shard_id = 3;
-  require_violation(audit_shard_merge(shards), Structure::Shard, "shard_id_range");
-}
-
-TEST(AuditShardMerge, KillsDuplicatedShard) {
-  auto shards = clean_shard_set();
-  shards[2] = shards[0];  // the same slice merged twice = double-counted mixes
-  require_violation(audit_shard_merge(shards), Structure::Shard, "shard_id_unique");
-}
-
-TEST(AuditShardMerge, KillsTrialIndexBeyondSweep) {
-  auto shards = clean_shard_set();
-  shards[1].trial_indices.back() = 13;  // 13 % 3 == 1: ownership alone misses it
-  require_violation(audit_shard_merge(shards), Structure::Shard, "trial_range");
-}
-
-TEST(AuditShardMerge, KillsForeignTrialInShard) {
-  auto shards = clean_shard_set();
-  shards[0].trial_indices[1] = 4;  // trial 4 belongs to shard 1
-  require_violation(audit_shard_merge(shards), Structure::Shard, "trial_ownership");
-}
-
-TEST(AuditShardMerge, KillsDuplicatedTrialWithinShard) {
-  auto shards = clean_shard_set();
-  shards[0].trial_indices = {0, 3, 3, 9};  // still 4 entries, still owned
-  require_violation(audit_shard_merge(shards), Structure::Shard, "trial_order");
-}
-
-TEST(AuditShardMerge, KillsDroppedTrial) {
-  auto shards = clean_shard_set();
-  shards[1].trial_indices.pop_back();  // shard 1 silently lost trial 7
-  require_violation(audit_shard_merge(shards), Structure::Shard, "shard_coverage");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -298,6 +299,102 @@ TEST(SnapshotCache, SweepResultsIndependentOfReuseAndThreads) {
     EXPECT_EQ(reference[i].bank_aware.to_json().dump(),
               reused[i].bank_aware.to_json().dump());
   }
+}
+
+// ---------------------------------------------------------------------------
+// File-backed SnapshotCache bank
+// ---------------------------------------------------------------------------
+
+snapshot::SystemSnapshot tiny_snapshot() {
+  // A minimal structurally-valid snapshot: header + empty section table.
+  snapshot::SnapshotBuilder builder(/*config_digest=*/0x5EED);
+  return builder.finish();
+}
+
+TEST(SnapshotFileBank, PersistsAndReloadsAcrossCacheInstances) {
+  const std::string dir = testing::TempDir() + "/bacp-snapbank-reload";
+  std::filesystem::create_directories(dir);
+  int warmed = 0;
+  const auto warm = [&] {
+    ++warmed;
+    return tiny_snapshot();
+  };
+
+  {
+    harness::SnapshotCache cache;
+    cache.set_file_bank(dir);
+    cache.get_or_warm(0xABCD, warm);
+    EXPECT_EQ(warmed, 1);
+    EXPECT_EQ(cache.file_hits(), 0u);
+  }
+  {
+    // A fresh process (new cache instance) finds the banked snapshot and
+    // never runs the warm-up.
+    harness::SnapshotCache cache;
+    cache.set_file_bank(dir);
+    const auto snapshot = cache.get_or_warm(0xABCD, warm);
+    EXPECT_EQ(warmed, 1);
+    EXPECT_EQ(cache.file_hits(), 1u);
+    // The reload arrives through the mmap zero-copy path (backing set, owned
+    // bytes empty); its mapped contents must match what was banked.
+    EXPECT_NE(snapshot->backing, nullptr);
+    const auto reloaded = snapshot->data();
+    EXPECT_EQ(std::vector<std::uint8_t>(reloaded.begin(), reloaded.end()),
+              tiny_snapshot().bytes);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotFileBank, RejectsCorruptBankEntryAndRewarms) {
+  const std::string dir = testing::TempDir() + "/bacp-snapbank-corrupt";
+  std::filesystem::create_directories(dir);
+  {
+    harness::SnapshotCache cache;
+    cache.set_file_bank(dir);
+    cache.get_or_warm(0x1234, [] { return tiny_snapshot(); });
+  }
+  // Flip one byte of the banked file: the audit must reject it and the next
+  // cache must fall back to warming.
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(0);
+    file.put('X');  // clobbers the magic
+  }
+  int warmed = 0;
+  harness::SnapshotCache cache;
+  cache.set_file_bank(dir);
+  cache.get_or_warm(0x1234, [&] {
+    ++warmed;
+    return tiny_snapshot();
+  });
+  EXPECT_EQ(warmed, 1);
+  EXPECT_EQ(cache.file_hits(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// The command line refuses a bank it cannot write (read_snapshot_bank), but
+// the cache itself must still degrade to memory when a store fails mid-run.
+TEST(SnapshotFileBank, UnwritableBankDegradesToInMemory) {
+  harness::SnapshotCache cache;
+  cache.set_file_bank("/nonexistent-bacp-bank-dir/nested");
+  int warmed = 0;
+  const auto snapshot = cache.get_or_warm(0x77, [&] {
+    ++warmed;
+    return tiny_snapshot();
+  });
+  EXPECT_EQ(warmed, 1);
+  EXPECT_FALSE(snapshot->data().empty());
+  // Second get on the same key still hits in memory.
+  cache.get_or_warm(0x77, [&] {
+    ++warmed;
+    return tiny_snapshot();
+  });
+  EXPECT_EQ(warmed, 1);
 }
 
 // ---------------------------------------------------------------------------
