@@ -12,19 +12,19 @@
 // old profile) and hand the freed Center banks to bzip2. We report
 // per-phase misses under Equal-partitions and Bank-aware, plus the
 // allocation trace of the two cores. The two policy runs execute
-// concurrently over the sweep harness's snapshot-aware thread pool; rows
-// are emitted in policy order, so the artifact is byte-identical for any
-// --threads value.
+// concurrently through harness::run_variant_sweep; rows are emitted in
+// policy order, so the artifact is byte-identical for any --threads value,
+// and with or without a --snapshot-bank.
 //
-// Flags: --instr (per phase), --epoch, --threads, --no-snapshot-reuse,
+// Flags: --instr (per phase), --epoch, --threads, --snapshot-bank,
 // --json-out, --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_EPOCH,
-// BACP_THREADS still work).
+// BACP_THREADS, BACP_SNAPSHOT_BANK still work).
 
 #include <iostream>
 #include <vector>
 
 #include "harness/config_cli.hpp"
-#include "harness/snapshot_cache.hpp"
+#include "harness/experiments.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   harness::FlagSpec spec = {harness::value_flag(harness::kInstrKnob),
                             harness::value_flag(harness::kEpochKnob)};
-  for (auto& row : harness::VariantSweepOptions::cli_flags()) spec.push_back(std::move(row));
+  for (auto& row : harness::SweepOptions::cli_flags()) spec.push_back(std::move(row));
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const std::uint64_t phase_instructions =
       harness::read_u64(parser, harness::kInstrKnob, 8'000'000);
   const Cycle epoch = harness::read_u64(parser, harness::kEpochKnob, 1'500'000);
-  const auto sweep_options = harness::VariantSweepOptions::from_args(parser);
+  const auto sweep_options = harness::SweepOptions::from_args(parser);
 
   const auto mix = trace::mix_from_names(
       {"facerec", "gzip", "bzip2", "mesa", "sixtrack", "eon", "crafty", "perlbmk"});
@@ -60,12 +60,12 @@ int main(int argc, char** argv) {
     config.policy = policy;
     config.epoch_cycles = epoch;
     config.finalize();
-    variants.push_back({sim::to_string(policy), config, phase_instructions / 2});
+    variants.push_back({sim::to_string(policy), config, mix, phase_instructions / 2});
   }
 
   std::vector<PhaseResult> phases(variants.size());
   harness::run_variant_sweep(
-      variants, mix, sweep_options, [&](sim::System& system, std::size_t index) {
+      variants, sweep_options, [&](sim::System& system, std::size_t index) {
         system.run(phase_instructions);
         PhaseResult result;
         result.phase1_misses = system.results().l2_misses();

@@ -7,20 +7,19 @@
 //   - the Fig. 4c mitigation limits cascading to two levels.
 // This bench runs the same Bank-aware workload set under all four schemes
 // and reports migrations, look-up width, miss ratio and CPI. The four
-// scheme variants run concurrently over the sweep harness's snapshot-aware
-// thread pool; rows are emitted in sweep order, so the artifact is
-// byte-identical for any --threads value.
+// scheme variants run concurrently through harness::run_variant_sweep; rows
+// are emitted in sweep order, so the artifact is byte-identical for any
+// --threads value, and with or without a --snapshot-bank.
 //
-// Flags: --warmup, --instr, --seed, --threads, --no-snapshot-reuse,
-// --json-out, --csv-out (legacy env knobs BACP_SIM_{WARMUP,INSTR,SEED} and
-// BACP_THREADS still work).
+// Flags: --warmup, --instr, --seed, --threads, --snapshot-bank, --json-out,
+// --csv-out (legacy env knobs BACP_SIM_{WARMUP,INSTR,SEED}, BACP_THREADS and
+// BACP_SNAPSHOT_BANK still work).
 
 #include <iostream>
 #include <vector>
 
 #include "harness/config_cli.hpp"
 #include "harness/experiments.hpp"
-#include "harness/snapshot_cache.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
   harness::FlagSpec spec = {harness::value_flag(harness::kWarmupKnob),
                             harness::value_flag(harness::kInstrKnob),
                             harness::value_flag(harness::kSimSeedKnob)};
-  for (auto& row : harness::VariantSweepOptions::cli_flags()) spec.push_back(std::move(row));
+  for (auto& row : harness::SweepOptions::cli_flags()) spec.push_back(std::move(row));
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
   const std::uint64_t warmup = harness::read_u64(parser, harness::kWarmupKnob, 3'000'000);
   const std::uint64_t accesses = harness::read_u64(parser, harness::kInstrKnob, 6'000'000);
   const std::uint64_t seed = harness::read_u64(parser, harness::kSimSeedKnob, 42);
-  const auto sweep_options = harness::VariantSweepOptions::from_args(parser);
+  const auto sweep_options = harness::SweepOptions::from_args(parser);
   const auto mix = harness::table3_sets()[1].mix();  // Set2: capacity-diverse
 
   const nuca::AggregationKind kinds[] = {
@@ -54,11 +53,11 @@ int main(int argc, char** argv) {
     config.aggregation = kind;
     config.seed = seed;
     config.finalize();
-    variants.push_back({nuca::to_string(kind), config, warmup});
+    variants.push_back({nuca::to_string(kind), config, mix, warmup});
   }
 
   std::vector<sim::SystemResults> results(variants.size());
-  harness::run_variant_sweep(variants, mix, sweep_options,
+  harness::run_variant_sweep(variants, sweep_options,
                              [&](sim::System& system, std::size_t index) {
                                system.run(accesses);
                                results[index] = system.results();

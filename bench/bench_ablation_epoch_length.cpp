@@ -3,20 +3,19 @@
 // repartition transients (off-partition hits, migrations); long epochs
 // react slowly and ride stale profiles. This bench sweeps the epoch length
 // on a capacity-diverse mix and reports misses, CPI and transient traffic.
-// The four epoch variants run concurrently over the sweep harness's
-// snapshot-aware thread pool; rows are emitted in sweep order, so the
-// artifact is byte-identical for any --threads value.
+// The four epoch variants run concurrently through harness::run_variant_sweep;
+// rows are emitted in sweep order, so the artifact is byte-identical for any
+// --threads value, and with or without a --snapshot-bank.
 //
-// Flags: --instr, --seed, --threads, --no-snapshot-reuse, --json-out,
-// --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_SEED, BACP_THREADS
-// still work).
+// Flags: --instr, --seed, --threads, --snapshot-bank, --json-out, --csv-out
+// (legacy env knobs BACP_SIM_INSTR, BACP_SIM_SEED, BACP_THREADS,
+// BACP_SNAPSHOT_BANK still work).
 
 #include <iostream>
 #include <vector>
 
 #include "harness/config_cli.hpp"
 #include "harness/experiments.hpp"
-#include "harness/snapshot_cache.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 
@@ -25,14 +24,14 @@ int main(int argc, char** argv) {
 
   harness::FlagSpec spec = {harness::value_flag(harness::kInstrKnob),
                             harness::value_flag(harness::kSimSeedKnob)};
-  for (auto& row : harness::VariantSweepOptions::cli_flags()) spec.push_back(std::move(row));
+  for (auto& row : harness::SweepOptions::cli_flags()) spec.push_back(std::move(row));
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::uint64_t instructions = harness::read_u64(parser, harness::kInstrKnob, 10'000'000);
   const std::uint64_t seed = harness::read_u64(parser, harness::kSimSeedKnob, 42);
-  const auto sweep_options = harness::VariantSweepOptions::from_args(parser);
+  const auto sweep_options = harness::SweepOptions::from_args(parser);
   const auto mix = harness::table3_sets()[1].mix();  // Set2
 
   std::vector<harness::SweepVariant> variants;
@@ -42,11 +41,11 @@ int main(int argc, char** argv) {
     config.epoch_cycles = epoch;
     config.seed = seed;
     config.finalize();
-    variants.push_back({std::to_string(epoch), config, instructions / 2});
+    variants.push_back({std::to_string(epoch), config, mix, instructions / 2});
   }
 
   std::vector<sim::SystemResults> results(variants.size());
-  harness::run_variant_sweep(variants, mix, sweep_options,
+  harness::run_variant_sweep(variants, sweep_options,
                              [&](sim::System& system, std::size_t index) {
                                system.run(instructions);
                                results[index] = system.results();

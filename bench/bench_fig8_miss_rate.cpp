@@ -3,8 +3,8 @@
 // the geometric mean. Paper headline: Bank-aware removes ~70% of misses
 // vs. No-partitions (GM ~= 0.30) and ~25% vs. Equal-partitions.
 //
-// Flags: --warmup, --instr, --epoch, --seed, --threads, --sets, --json-out,
-// --csv-out
+// Flags: --warmup, --instr, --epoch, --seed, --threads, --snapshot-bank,
+// --sets, --json-out, --csv-out
 // (legacy env knobs BACP_SIM_{WARMUP,INSTR,EPOCH,SEED,SETS} still work).
 
 #include <algorithm>
@@ -20,12 +20,14 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   auto spec = harness::DetailedRunConfig::cli_flags();
+  for (auto& row : harness::SweepOptions::cli_flags()) spec.push_back(std::move(row));
   spec.push_back({"sets=", "first N Table III sets only (env BACP_SIM_SETS)"});
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
   const auto config = harness::DetailedRunConfig::from_args(parser);
+  const auto sweep_options = harness::SweepOptions::from_args(parser);
   const std::size_t num_sets = static_cast<std::size_t>(parser.get_u64_or_fail(
       "sets", common::env_u64("BACP_SIM_SETS", harness::table3_sets().size())));
 
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
 
   const auto& sets = harness::table3_sets();
   const auto sweep = harness::run_detailed_sweep(
-      std::span(sets.data(), std::min(num_sets, sets.size())), config);
+      std::span(sets.data(), std::min(num_sets, sets.size())), config, sweep_options);
   for (const auto& comparison : sweep) {
     equal_ratios.push_back(comparison.equal_relative_misses());
     bank_ratios.push_back(comparison.bank_relative_misses());

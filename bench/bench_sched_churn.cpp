@@ -2,25 +2,26 @@
 // partitioning service: several independent service "lanes" each play a
 // deterministic synthetic churn stream (diurnal Poisson arrivals, uniform
 // residencies, periodic adversarial thrashers) against a live simulator,
-// repartitioning on every admission, departure and class change. Lanes fan
-// out over a ThreadPool but results are keyed and emitted in lane order, so
-// the JSON artifact is byte-identical for any --threads — the determinism
-// contract CI diffs two runs against. Wall-clock throughput goes to stderr
-// only, keeping the artifact environment-independent.
+// repartitioning on every admission, departure and class change. Each lane's
+// service warms its own substrate System in place: forking one shared
+// warm-up measured no faster at this scale. Lanes fan out over a ThreadPool
+// but results are keyed and emitted in lane order, so the JSON artifact is
+// byte-identical for any --threads — the determinism contract CI diffs two
+// runs against. Wall-clock throughput goes to stderr only, keeping the
+// artifact environment-independent.
 //
 // Default scale sums to >10k scheduling events across the lanes.
 //
 // Flags: --epochs, --lanes, --seed, --epoch, --warmup, --threads,
-// --no-snapshot-reuse, --json-out, --csv-out.
+// --json-out, --csv-out.
 
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
-#include "harness/config_cli.hpp"
-#include "harness/snapshot_cache.hpp"
 #include "common/thread_pool.hpp"
+#include "harness/config_cli.hpp"
 #include "obs/report.hpp"
 #include "sched/service.hpp"
 #include "trace/mix.hpp"
@@ -69,8 +70,6 @@ int main(int argc, char** argv) {
       harness::value_flag(harness::kEpochKnob),
       harness::value_flag(harness::kWarmupKnob),
       harness::value_flag(harness::kThreadsKnob),
-      harness::bool_flag("no-snapshot-reuse",
-                         "warm every lane cold instead of forking snapshots"),
   };
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
@@ -82,10 +81,8 @@ int main(int argc, char** argv) {
   const Cycle epoch_cycles = harness::read_u64(parser, harness::kEpochKnob, 20'000);
   const std::uint64_t warmup = harness::read_u64(parser, harness::kWarmupKnob, 200'000);
   const std::size_t num_threads = harness::read_threads(parser);
-  const bool snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
 
-  // The substrate mix seeds the warm-up; it is shared by every lane, so with
-  // snapshot reuse the hierarchy warms exactly once and forks bit-identically.
+  // The substrate mix seeds every lane's warm-up.
   const auto mix = trace::mix_from_names(
       {"gzip", "mesa", "eon", "crafty", "perlbmk", "gap", "vortex", "bzip2"});
 
@@ -113,15 +110,13 @@ int main(int argc, char** argv) {
     streams[lane] = sched::generate_churn(churn);
   }
 
-  harness::SnapshotCache cache;
-  harness::SnapshotCache* cache_ptr = snapshot_reuse ? &cache : nullptr;
   std::vector<LaneResult> results(lanes);
 
   // NOLINTNEXTLINE(bacp-det-wallclock): bench wall-time reporting; never feeds simulated state
   const auto start = std::chrono::steady_clock::now();
   common::ThreadPool pool(num_threads);
   pool.parallel_for(lanes, [&](std::size_t lane) {
-    sched::Service service(base, mix, cache_ptr);
+    sched::Service service(base, mix);
     service.play(streams[lane]);
     service.drain(epochs);
 

@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
     partition::CmpGeometry geometry;
     geometry.num_cores = shape.cores;
     geometry.num_banks = shape.banks;
-    const auto config = harness::MonteCarloConfig{}
-                            .with_geometry(geometry)
-                            .with_trials(trials)
-                            .with_seed(7);
+    harness::MonteCarloConfig config;
+    config.geometry = geometry;
+    config.trials = trials;
+    config.seed = 7;
     const auto summary = harness::run_monte_carlo(config);
     table.begin_row()
         .cell(std::to_string(shape.cores))

@@ -19,10 +19,6 @@ std::pair<std::string, std::string> value_flag(const EnvFlag& knob) {
   return {std::string(knob.flag) + "=", std::move(help)};
 }
 
-std::pair<std::string, std::string> bool_flag(const char* flag, const char* help) {
-  return {flag, help};
-}
-
 std::uint64_t read_u64(const common::ArgParser& parser, const EnvFlag& knob,
                        std::uint64_t fallback) {
   const std::uint64_t backed =

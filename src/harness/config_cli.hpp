@@ -26,9 +26,6 @@ using FlagSpec = std::vector<std::pair<std::string, std::string>>;
 /// "(env NAME)" suffix when the knob is environment-backed.
 std::pair<std::string, std::string> value_flag(const EnvFlag& knob);
 
-/// ArgParser spec row for a plain boolean flag (no value, no env backing).
-std::pair<std::string, std::string> bool_flag(const char* flag, const char* help);
-
 /// Reads a knob with the standard precedence. Malformed input (flag or env)
 /// is fatal, exactly as the underlying strict accessors define it.
 std::uint64_t read_u64(const common::ArgParser& parser, const EnvFlag& knob,
@@ -53,7 +50,7 @@ inline constexpr EnvFlag kThreadsKnob{"threads", "BACP_THREADS",
 inline constexpr EnvFlag kSnapshotBankKnob{
     "snapshot-bank", "BACP_SNAPSHOT_BANK",
     "existing writable directory for file-backed warm-state snapshots, "
-    "empty = in-memory only"};
+    "empty = no file bank"};
 inline constexpr EnvFlag kSampledKnob{
     "sampled", "BACP_MC_SAMPLED",
     "detailed intervals simulated per sampled Monte-Carlo trial, 0 = analytic only"};
@@ -68,7 +65,7 @@ inline constexpr EnvFlag kSampledWarmupKnob{
     "detailed warm-up instructions before a sampled trial's first interval"};
 inline constexpr EnvFlag kPoolKnob{
     "pool", "BACP_POOL",
-    "System pooling for sampled trials and sweeps: auto|off (speed dial; "
+    "System pooling for sampled trials: auto|off (speed dial; "
     "results are byte-identical either way)"};
 inline constexpr EnvFlag kMmapKnob{
     "mmap", "BACP_MMAP",

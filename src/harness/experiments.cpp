@@ -17,9 +17,6 @@ std::vector<std::pair<std::string, std::string>> DetailedRunConfig::cli_flags() 
       value_flag(kInstrKnob),
       value_flag(kEpochKnob),
       value_flag(kSimSeedKnob),
-      value_flag(kThreadsKnob),
-      value_flag(kSnapshotBankKnob),
-      bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
   };
 }
 
@@ -29,10 +26,18 @@ DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) 
   config.measure_instructions = read_u64(parser, kInstrKnob, config.measure_instructions);
   config.epoch_cycles = read_u64(parser, kEpochKnob, config.epoch_cycles);
   config.seed = read_u64(parser, kSimSeedKnob, config.seed);
-  config.num_threads = read_threads(parser, config.num_threads);
-  config.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
-  config.snapshot_bank = read_snapshot_bank(parser);
   return config;
+}
+
+std::vector<std::pair<std::string, std::string>> SweepOptions::cli_flags() {
+  return {value_flag(kThreadsKnob), value_flag(kSnapshotBankKnob)};
+}
+
+SweepOptions SweepOptions::from_args(const common::ArgParser& parser) {
+  SweepOptions options;
+  options.num_threads = read_threads(parser, options.num_threads);
+  options.snapshot_bank = read_snapshot_bank(parser);
+  return options;
 }
 
 trace::WorkloadMix ExperimentSet::mix() const { return trace::mix_from_names(benchmarks); }
@@ -87,82 +92,61 @@ double SetComparison::bank_relative_cpi() const {
 
 namespace {
 
-sim::SystemResults run_policy(sim::PolicyKind policy, const trace::WorkloadMix& mix,
-                              const DetailedRunConfig& config, SnapshotCache* cache) {
-  sim::SystemConfig system_config = sim::SystemConfig::baseline();
-  system_config.policy = policy;
-  system_config.aggregation = config.aggregation;
-  system_config.epoch_cycles = config.epoch_cycles;
-  system_config.seed = config.seed;
-  system_config.finalize();
-
-  sim::System system(system_config, mix);
-  warm_system(system, mix, config.warmup_instructions, cache);
-  {
-    const auto timer = obs::global_phase_timers().scope("simulate");
-    system.run(config.measure_instructions);
-  }
-  return system.results();
-}
-
 constexpr std::array<sim::PolicyKind, 3> kComparisonPolicies = {
     sim::PolicyKind::NoPartition, sim::PolicyKind::EqualPartition,
     sim::PolicyKind::BankAware};
 
-void store_policy_result(SetComparison& comparison, std::size_t policy_index,
-                         sim::SystemResults results) {
-  switch (policy_index) {
-    case 0: comparison.none = std::move(results); break;
-    case 1: comparison.equal = std::move(results); break;
-    default: comparison.bank_aware = std::move(results); break;
-  }
-}
-
 }  // namespace
 
-SetComparison run_set_comparison(const std::string& label, const trace::WorkloadMix& mix,
-                                 const DetailedRunConfig& config) {
-  SetComparison comparison;
-  comparison.label = label;
-  // Three independent simulations over the same reference streams (the
-  // seed, not shared state, ties them together) — fan them out.
+void run_variant_sweep(std::span<const SweepVariant> variants, const SweepOptions& options,
+                       const std::function<void(sim::System&, std::size_t)>& body) {
+  // The repo's sweeps vary policy, epoch length or aggregation, and each
+  // shapes warm state, so no two of their variants share a fingerprint:
+  // warm state pays off only across sweeps and processes, through the bank.
   SnapshotCache cache;
-  if (!config.snapshot_bank.empty()) cache.set_file_bank(config.snapshot_bank);
-  SnapshotCache* cache_ptr = config.snapshot_reuse ? &cache : nullptr;
-  common::ThreadPool pool(config.num_threads);
-  pool.parallel_for(kComparisonPolicies.size(), [&](std::size_t policy) {
-    store_policy_result(
-        comparison, policy,
-        run_policy(kComparisonPolicies[policy], mix, config, cache_ptr));
+  cache.set_file_bank(options.snapshot_bank);
+  SnapshotCache* bank = options.snapshot_bank.empty() ? nullptr : &cache;
+  common::ThreadPool pool(options.num_threads);
+  pool.parallel_for(variants.size(), [&](std::size_t index) {
+    const SweepVariant& variant = variants[index];
+    sim::System system(variant.config, variant.mix);
+    warm_system(system, variant.mix, variant.warmup_instructions, bank);
+    body(system, index);
   });
-  BACP_ASSERT(comparison.none.l2_misses() > 0, "no misses in the baseline run");
-  return comparison;
 }
 
 std::vector<SetComparison> run_detailed_sweep(std::span<const ExperimentSet> sets,
-                                              const DetailedRunConfig& config) {
-  std::vector<SetComparison> comparisons(sets.size());
-  std::vector<trace::WorkloadMix> mixes;
-  mixes.reserve(sets.size());
+                                              const DetailedRunConfig& config,
+                                              const SweepOptions& options) {
+  std::vector<SweepVariant> variants;
+  variants.reserve(sets.size() * kComparisonPolicies.size());
   for (const auto& set : sets) {
-    mixes.push_back(set.mix());
+    const trace::WorkloadMix mix = set.mix();
+    for (const sim::PolicyKind policy : kComparisonPolicies) {
+      sim::SystemConfig system_config = sim::SystemConfig::baseline();
+      system_config.policy = policy;
+      system_config.epoch_cycles = config.epoch_cycles;
+      system_config.seed = config.seed;
+      system_config.finalize();
+      variants.push_back({set.label, system_config, mix, config.warmup_instructions});
+    }
   }
-  // One flat set x policy task list: with per-set fan-out a fast set's
-  // workers would idle while the slowest policy run of that set finishes.
-  SnapshotCache cache;
-  if (!config.snapshot_bank.empty()) cache.set_file_bank(config.snapshot_bank);
-  SnapshotCache* cache_ptr = config.snapshot_reuse ? &cache : nullptr;
-  common::ThreadPool pool(config.num_threads);
-  pool.parallel_for(sets.size() * kComparisonPolicies.size(), [&](std::size_t task) {
-    const std::size_t set_index = task / kComparisonPolicies.size();
-    const std::size_t policy = task % kComparisonPolicies.size();
-    store_policy_result(
-        comparisons[set_index], policy,
-        run_policy(kComparisonPolicies[policy], mixes[set_index], config, cache_ptr));
+  std::vector<sim::SystemResults> results(variants.size());
+  run_variant_sweep(variants, options, [&](sim::System& system, std::size_t index) {
+    const auto timer = obs::global_phase_timers().scope("simulate");
+    system.run(config.measure_instructions);
+    results[index] = system.results();
   });
+
+  std::vector<SetComparison> comparisons(sets.size());
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    comparisons[i].label = sets[i].label;
-    BACP_ASSERT(comparisons[i].none.l2_misses() > 0, "no misses in the baseline run");
+    SetComparison& comparison = comparisons[i];
+    const std::size_t first = i * kComparisonPolicies.size();
+    comparison.label = sets[i].label;
+    comparison.none = std::move(results[first]);
+    comparison.equal = std::move(results[first + 1]);
+    comparison.bank_aware = std::move(results[first + 2]);
+    BACP_ASSERT(comparison.none.l2_misses() > 0, "no misses in the baseline run");
   }
   return comparisons;
 }

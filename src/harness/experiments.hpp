@@ -1,12 +1,12 @@
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/args.hpp"
-#include "nuca/dnuca_cache.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
 
@@ -33,62 +33,55 @@ struct DetailedRunConfig {
   std::uint64_t warmup_instructions = 8'000'000;    ///< per core
   std::uint64_t measure_instructions = 16'000'000;  ///< per core
   Cycle epoch_cycles = 8'000'000;
-  nuca::AggregationKind aggregation = nuca::AggregationKind::Parallel;
   std::uint64_t seed = 42;
-  /// Worker threads for multi-run sweeps (0 = hardware concurrency).
-  /// Every run is an isolated System with its own seed-derived RNG
-  /// streams, so results are identical for any worker count.
-  std::size_t num_threads = 0;
-  /// Warm once per distinct warm-state fingerprint and fork the snapshot
-  /// into every run sharing it. Exact restore: artifacts stay byte-for-byte
-  /// identical to cold per-run warm-up (--no-snapshot-reuse disables).
-  bool snapshot_reuse = true;
-  /// Directory for file-backed warm-state snapshots shared across processes
-  /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
-  std::string snapshot_bank;
 
-  DetailedRunConfig& with_warmup_instructions(std::uint64_t value) {
-    warmup_instructions = value;
-    return *this;
-  }
-  DetailedRunConfig& with_measure_instructions(std::uint64_t value) {
-    measure_instructions = value;
-    return *this;
-  }
-  DetailedRunConfig& with_epoch_cycles(Cycle value) {
-    epoch_cycles = value;
-    return *this;
-  }
-  DetailedRunConfig& with_aggregation(nuca::AggregationKind value) {
-    aggregation = value;
-    return *this;
-  }
-  DetailedRunConfig& with_seed(std::uint64_t value) {
-    seed = value;
-    return *this;
-  }
-  DetailedRunConfig& with_num_threads(std::size_t value) {
-    num_threads = value;
-    return *this;
-  }
-  DetailedRunConfig& with_snapshot_reuse(bool value) {
-    snapshot_reuse = value;
-    return *this;
-  }
-
-  /// The standard scale flags (--warmup, --instr, --epoch, --seed) plus the
-  /// sweep knobs detailed runs honour (--threads, --snapshot-bank,
-  /// --no-snapshot-reuse) for binaries that drive detailed simulations;
-  /// pair with from_args(). --pool and --mmap are not offered: every policy
-  /// run builds its own System and reads the bank through the default path.
+  /// The standard scale flags (--warmup, --instr, --epoch, --seed) for
+  /// binaries that drive detailed simulations; pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the
-  /// BACP_SIM_{WARMUP,INSTR,EPOCH,SEED}, BACP_THREADS and BACP_SNAPSHOT_BANK
-  /// environment knobs, then the built-in defaults. An unusable
-  /// --snapshot-bank exits 2.
+  /// BACP_SIM_{WARMUP,INSTR,EPOCH,SEED} environment knobs, then the
+  /// built-in defaults.
   static DetailedRunConfig from_args(const common::ArgParser& parser);
 };
+
+/// One point of a configuration sweep: a finalized config, the mix it runs
+/// and its warm-up length, labelled for reports.
+struct SweepVariant {
+  std::string label;
+  sim::SystemConfig config;  ///< must be finalized
+  trace::WorkloadMix mix;
+  std::uint64_t warmup_instructions = 0;
+};
+
+/// How a sweep executes. Neither knob changes results.
+struct SweepOptions {
+  /// Worker threads (0 = hardware concurrency). Variants are independent
+  /// simulations, so results are identical for any worker count.
+  std::size_t num_threads = 0;
+  /// Directory for file-backed warm-state snapshots shared across sweeps
+  /// and processes (SnapshotCache::set_file_bank); empty = every variant
+  /// warms its own System in place.
+  std::string snapshot_bank;
+
+  /// The sweep flags (--threads, --snapshot-bank); every sweep binary takes
+  /// exactly these. Pair with from_args().
+  static std::vector<std::pair<std::string, std::string>> cli_flags();
+
+  /// Standard precedence: explicit flag, then BACP_THREADS /
+  /// BACP_SNAPSHOT_BANK, then defaults. An unusable --snapshot-bank exits 2.
+  static SweepOptions from_args(const common::ArgParser& parser);
+};
+
+/// The one sweep engine. Runs every variant over a ThreadPool: construct
+/// the variant's System, bring it to its warm point via warm_system() (from
+/// the snapshot bank when options.snapshot_bank is set, in place
+/// otherwise), then hand it to `body` along with the variant index. `body`
+/// must write its findings into caller-owned per-index slots (it runs
+/// concurrently); emitting rows in variant order afterwards keeps
+/// artifacts independent of the thread count.
+void run_variant_sweep(std::span<const SweepVariant> variants, const SweepOptions& options,
+                       const std::function<void(sim::System&, std::size_t)>& body);
 
 /// Full-system results of one workload set under the three policies of the
 /// paper's Section IV-B.
@@ -104,19 +97,14 @@ struct SetComparison {
   double bank_relative_cpi() const;
 };
 
-/// Runs No-partition / Equal-partition / Bank-aware on one mix with
-/// identical seeds (same reference streams) and returns the comparison.
-/// The three policy runs are independent simulations and execute on a
-/// ThreadPool of config.num_threads workers.
-SetComparison run_set_comparison(const std::string& label, const trace::WorkloadMix& mix,
-                                 const DetailedRunConfig& config);
-
 /// Runs the full set x policy matrix for `sets` (Figs. 8 and 9 share this
-/// sweep): all runs are flattened into one task list over a single
-/// ThreadPool, so an 8-set sweep keeps every worker busy instead of
+/// sweep): No-partition / Equal-partition / Bank-aware per set with
+/// identical seeds (same reference streams), as one run_variant_sweep()
+/// variant list, so an 8-set sweep keeps every worker busy instead of
 /// barriering after each set. Results come back in `sets` order and are
-/// byte-for-byte independent of the worker count.
+/// byte-for-byte independent of the options.
 std::vector<SetComparison> run_detailed_sweep(std::span<const ExperimentSet> sets,
-                                              const DetailedRunConfig& config);
+                                              const DetailedRunConfig& config,
+                                              const SweepOptions& options);
 
 }  // namespace bacp::harness

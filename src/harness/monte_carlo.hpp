@@ -44,55 +44,6 @@ struct MonteCarloConfig {
   /// (--mmap=off / BACP_MMAP=off). Pure speed dial, byte-identical results.
   bool mmap = true;
 
-  MonteCarloConfig& with_trials(std::size_t value) {
-    trials = value;
-    return *this;
-  }
-  MonteCarloConfig& with_seed(std::uint64_t value) {
-    seed = value;
-    return *this;
-  }
-  MonteCarloConfig& with_geometry(const partition::CmpGeometry& value) {
-    geometry = value;
-    return *this;
-  }
-  MonteCarloConfig& with_curve_depth(WayCount value) {
-    curve_depth = value;
-    return *this;
-  }
-  MonteCarloConfig& with_num_threads(std::size_t value) {
-    num_threads = value;
-    return *this;
-  }
-  MonteCarloConfig& with_sampled_k(std::uint32_t value) {
-    sampled_k = value;
-    return *this;
-  }
-  MonteCarloConfig& with_sampled_intervals(std::uint32_t value) {
-    sampled_intervals = value;
-    return *this;
-  }
-  MonteCarloConfig& with_sampled_interval_instructions(std::uint64_t value) {
-    sampled_interval_instructions = value;
-    return *this;
-  }
-  MonteCarloConfig& with_sampled_warmup(std::uint64_t value) {
-    sampled_warmup = value;
-    return *this;
-  }
-  MonteCarloConfig& with_snapshot_bank(std::string value) {
-    snapshot_bank = std::move(value);
-    return *this;
-  }
-  MonteCarloConfig& with_pool(bool value) {
-    pool = value;
-    return *this;
-  }
-  MonteCarloConfig& with_mmap(bool value) {
-    mmap = value;
-    return *this;
-  }
-
   /// The standard sweep flags (--trials, --seed, --threads) for binaries
   /// that run the Monte-Carlo evaluation; pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();

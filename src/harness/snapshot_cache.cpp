@@ -5,15 +5,11 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <utility>
 
 #include "audit/snapshot_audit.hpp"
 #include "common/fsio.hpp"
-#include "common/thread_pool.hpp"
-#include "harness/config_cli.hpp"
-#include "harness/system_pool.hpp"
 #include "obs/phase_timer.hpp"
 #include "sim/system_config.hpp"
 
@@ -161,26 +157,6 @@ std::uint64_t SnapshotCache::file_hits() const {
   return file_hits_;
 }
 
-std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags() {
-  return {
-      value_flag(kThreadsKnob),
-      value_flag(kSnapshotBankKnob),
-      value_flag(kPoolKnob),
-      value_flag(kMmapKnob),
-      bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
-  };
-}
-
-VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& parser) {
-  VariantSweepOptions options;
-  options.num_threads = read_threads(parser, options.num_threads);
-  options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
-  options.snapshot_bank = read_snapshot_bank(parser);
-  options.pool = read_toggle(parser, kPoolKnob, options.pool);
-  options.mmap = read_toggle(parser, kMmapKnob, options.mmap);
-  return options;
-}
-
 std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instructions) {
   // Fold the warm-up length into the digest with one FNV-1a round per byte,
   // matching the hash family used for the digest itself.
@@ -194,48 +170,24 @@ std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instru
 
 void warm_system(sim::System& system, const trace::WorkloadMix& mix,
                  std::uint64_t warmup_instructions, SnapshotCache* cache) {
-  if (cache == nullptr) {
+  const auto warm_in_place = [&] {
     const auto timer = obs::global_phase_timers().scope("warmup");
     system.warm_up(warmup_instructions);
+  };
+  if (cache == nullptr) {
+    warm_in_place();
     return;
   }
   const std::uint64_t key =
       warmup_key(sim::config_digest(system.config(), mix), warmup_instructions);
   const auto snapshot = cache->get_or_warm(key, [&] {
-    const auto timer = obs::global_phase_timers().scope("warmup");
-    sim::System twin(system.config(), mix);
-    twin.warm_up(warmup_instructions);
-    return twin.save_state();
+    warm_in_place();
+    return system.save_state();
   });
+  // Restore unconditionally: on a hit this forks the cached state; on a
+  // miss it re-applies the bytes this system just produced, so hits and
+  // misses leave the system in the identical state.
   system.restore_state(*snapshot);
-}
-
-void run_variant_sweep(std::span<const SweepVariant> variants,
-                       const trace::WorkloadMix& mix, const VariantSweepOptions& options,
-                       const std::function<void(sim::System&, std::size_t)>& body) {
-  SnapshotCache cache;
-  if (!options.snapshot_bank.empty()) cache.set_file_bank(options.snapshot_bank);
-  cache.set_mmap_reads(options.mmap);
-  SnapshotCache* cache_ptr = options.snapshot_reuse ? &cache : nullptr;
-  SystemPool system_pool;
-  common::ThreadPool pool(options.num_threads);
-  pool.parallel_for(variants.size(), [&](std::size_t index) {
-    const SweepVariant& variant = variants[index];
-    // Pooled path: variants sharing a config shape (repeat runs, warm-up
-    // length sweeps) reuse one System per worker via reset_in_place —
-    // byte-identical to fresh construction, minus the allocation storm.
-    SystemPool::Lease lease;
-    std::optional<sim::System> local;
-    if (options.pool) {
-      lease = system_pool.acquire(variant.config, mix);
-      if (lease.pooled_hit()) lease->reset_in_place(mix);
-    } else {
-      local.emplace(variant.config, mix);
-    }
-    sim::System& system = options.pool ? *lease : *local;
-    warm_system(system, mix, variant.warmup_instructions, cache_ptr);
-    body(system, index);
-  });
 }
 
 }  // namespace bacp::harness

@@ -5,12 +5,8 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/args.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/system.hpp"
@@ -18,12 +14,12 @@
 
 namespace bacp::harness {
 
-/// Concurrent warm-state cache for sweep harnesses: snapshots keyed by a
-/// warm-state fingerprint (config digest + warm-up length), computed at most
-/// once. The first caller of a key runs the warm-up outside the lock while
-/// later callers of the same key block on a shared future, so a sweep whose
-/// variants share a fingerprint pays for exactly one warm-up no matter how
-/// many ThreadPool workers race for it.
+/// Concurrent warm-state cache: snapshots keyed by a warm-state fingerprint
+/// (config digest + warm-up length), computed at most once. The first
+/// caller of a key runs the warm-up outside the lock while later callers of
+/// the same key block on a shared future, so callers that share a
+/// fingerprint (e.g. sched::Service lanes over one substrate) pay for
+/// exactly one warm-up no matter how many ThreadPool workers race for it.
 class SnapshotCache {
  public:
   using SnapshotPtr = std::shared_ptr<const snapshot::SystemSnapshot>;
@@ -91,77 +87,12 @@ class SnapshotCache {
 std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instructions);
 
 /// Brings `system` to its warm starting point. With `cache == nullptr` this
-/// is a plain cold warm-up. With a cache, the warm-up runs once per exact
-/// warm-state fingerprint (sim::config_digest + warm-up length) and the
-/// system is restored bit-identically from the snapshot — artifacts are
-/// byte-for-byte the same as cold warm-up.
+/// is a plain warm-up in place. With a cache, the first caller of an exact
+/// warm-state fingerprint (sim::config_digest + warm-up length) warms its
+/// own system in place and publishes the snapshot; every caller, that one
+/// included, then restores from the snapshot — artifacts are byte-for-byte
+/// the same as warming in place.
 void warm_system(sim::System& system, const trace::WorkloadMix& mix,
                  std::uint64_t warmup_instructions, SnapshotCache* cache);
-
-/// One point of a configuration sweep: a finalized config plus its warm-up
-/// length, labelled for reports.
-struct SweepVariant {
-  std::string label;
-  sim::SystemConfig config;  ///< must be finalized
-  std::uint64_t warmup_instructions = 0;
-};
-
-struct VariantSweepOptions {
-  /// Worker threads (0 = hardware concurrency). Variants are independent
-  /// simulations, so results are identical for any worker count.
-  std::size_t num_threads = 0;
-  /// Warm once per distinct warm-state fingerprint and fork the snapshot
-  /// (byte-identical to cold warm-up); off = always warm cold.
-  bool snapshot_reuse = true;
-  /// Directory for file-backed warm snapshots shared across processes
-  /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
-  std::string snapshot_bank;
-  /// Reuse constructed Systems across variants with identical configs via
-  /// harness::SystemPool + reset_in_place (--pool=off / BACP_POOL=off
-  /// disables). Pure speed dial: byte-identical results either way.
-  bool pool = true;
-  /// Snapshot-bank read path: mmap zero-copy or buffered (--mmap=off /
-  /// BACP_MMAP=off). Pure speed dial: byte-identical results either way.
-  bool mmap = true;
-
-  VariantSweepOptions& with_num_threads(std::size_t value) {
-    num_threads = value;
-    return *this;
-  }
-  VariantSweepOptions& with_snapshot_bank(std::string value) {
-    snapshot_bank = std::move(value);
-    return *this;
-  }
-  VariantSweepOptions& with_snapshot_reuse(bool value) {
-    snapshot_reuse = value;
-    return *this;
-  }
-  VariantSweepOptions& with_pool(bool value) {
-    pool = value;
-    return *this;
-  }
-  VariantSweepOptions& with_mmap(bool value) {
-    mmap = value;
-    return *this;
-  }
-
-  /// The shared sweep-execution flags (--threads, --no-snapshot-reuse,
-  /// --snapshot-bank, --pool, --mmap); every run_variant_sweep() binary
-  /// takes exactly these. Pair with from_args().
-  static std::vector<std::pair<std::string, std::string>> cli_flags();
-
-  /// Standard precedence: explicit flag, then BACP_THREADS, then defaults.
-  /// An unusable --snapshot-bank exits 2.
-  static VariantSweepOptions from_args(const common::ArgParser& parser);
-};
-
-/// Runs every variant over a ThreadPool: construct the variant's System,
-/// bring it to its warm point via warm_system(), then hand it to `body`
-/// along with the variant index. `body` must write its findings into
-/// caller-owned per-index slots (it runs concurrently); emitting rows in
-/// variant order afterwards keeps artifacts independent of the thread count.
-void run_variant_sweep(std::span<const SweepVariant> variants,
-                       const trace::WorkloadMix& mix, const VariantSweepOptions& options,
-                       const std::function<void(sim::System&, std::size_t)>& body);
 
 }  // namespace bacp::harness

@@ -27,9 +27,10 @@ struct ServiceConfig {
   sim::SystemConfig system;
   ClassifierConfig classifier;
 
-  /// Substrate warm-up before the first epoch (0 = start cold). With a
-  /// harness::SnapshotCache the warm state is computed once per fingerprint
-  /// and forked bit-identically into every service lane.
+  /// Substrate warm-up before the first epoch (0 = start cold). A service
+  /// warms its own System in place; services handed one shared
+  /// harness::SnapshotCache warm once per fingerprint and restore the
+  /// snapshot bit-identically.
   std::uint64_t warmup_instructions = 0;
 
   /// Live epochs before a tenant's own MSA profile replaces its analytic

@@ -196,15 +196,6 @@ TEST(MonteCarlo, SampledReportCarriesSampledMetrics) {
             report.metric_value("sampled_miss_ratio_p50"));
 }
 
-TEST(MonteCarloConfig, FluentSettersChain) {
-  const auto config =
-      MonteCarloConfig{}.with_trials(5).with_seed(11).with_num_threads(3).with_curve_depth(64);
-  EXPECT_EQ(config.trials, 5u);
-  EXPECT_EQ(config.seed, 11u);
-  EXPECT_EQ(config.num_threads, 3u);
-  EXPECT_EQ(config.curve_depth, 64u);
-}
-
 TEST(MonteCarloConfig, FromArgsPrefersFlags) {
   common::ArgParser parser(MonteCarloConfig::cli_flags());
   const char* argv[] = {"prog", "--trials=7", "--seed=99", "--threads=2"};
