@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -21,6 +22,15 @@ namespace bacp::common {
 /// entries instead of two thousand and the prefetches actually issue.
 /// THP in "madvise" mode requires this explicit advice; under "always" the
 /// advice is redundant and under "never" it is ignored — all safe.
+///
+/// On Linux a large table is its own anonymous mapping, not a malloc block.
+/// Once glibc's dynamic mmap threshold has risen past the table size (the
+/// first large free does that), posix_memalign serves a 2 MiB-aligned
+/// block from the brk heap, cutting padding whose size depends on where
+/// address-space randomisation put the heap; the heap's layout, and with
+/// it the process's peak RSS, would then vary between runs of one input.
+/// A mapping is placed, sized and returned to the OS the same way on
+/// every run.
 template <typename T>
 struct HugePageAlloc {
   using value_type = T;
@@ -34,16 +44,7 @@ struct HugePageAlloc {
     const std::size_t bytes = count * sizeof(T);
     // Small tables stay on normal pages: rounding them up to 2 MiB would
     // waste more than they occupy.
-    if (bytes >= kHugePage) {
-      const std::size_t rounded = (bytes + kHugePage - 1) & ~(kHugePage - 1);
-      void* raw = nullptr;
-      if (posix_memalign(&raw, kHugePage, rounded) == 0) {
-#if defined(__linux__)
-        madvise(raw, rounded, MADV_HUGEPAGE);
-#endif
-        return static_cast<T*>(raw);
-      }
-    }
+    if (bytes >= kHugePage) return static_cast<T*>(allocate_huge(round_up(bytes)));
     const std::size_t alignment =
         alignof(T) > alignof(std::max_align_t) ? alignof(T) : alignof(std::max_align_t);
     void* raw = nullptr;
@@ -53,10 +54,48 @@ struct HugePageAlloc {
     return static_cast<T*>(raw);
   }
 
-  void deallocate(T* ptr, std::size_t) noexcept { std::free(ptr); }
+  void deallocate(T* ptr, std::size_t count) noexcept {
+#if defined(__linux__)
+    const std::size_t bytes = count * sizeof(T);
+    if (bytes >= kHugePage) {
+      munmap(ptr, round_up(bytes));
+      return;
+    }
+#else
+    (void)count;
+#endif
+    std::free(ptr);
+  }
 
   friend bool operator==(const HugePageAlloc&, const HugePageAlloc&) { return true; }
   friend bool operator!=(const HugePageAlloc&, const HugePageAlloc&) { return false; }
+
+ private:
+  static std::size_t round_up(std::size_t bytes) {
+    return (bytes + kHugePage - 1) & ~(kHugePage - 1);
+  }
+
+  /// `rounded` bytes at a 2 MiB boundary: over-map by one hugepage, then
+  /// unmap the misaligned head and the unused tail.
+  static void* allocate_huge(std::size_t rounded) {
+#if defined(__linux__)
+    const std::size_t span = rounded + kHugePage;
+    void* raw = mmap(nullptr, span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc{};
+    const auto base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned = (base + kHugePage - 1) & ~std::uintptr_t{kHugePage - 1};
+    const std::uintptr_t end = aligned + rounded;
+    if (aligned != base) munmap(raw, aligned - base);
+    if (end != base + span) munmap(reinterpret_cast<void*>(end), base + span - end);
+    void* table = reinterpret_cast<void*>(aligned);
+    madvise(table, rounded, MADV_HUGEPAGE);
+    return table;
+#else
+    void* raw = nullptr;
+    if (posix_memalign(&raw, kHugePage, rounded) != 0) throw std::bad_alloc{};
+    return raw;
+#endif
+  }
 };
 
 }  // namespace bacp::common
