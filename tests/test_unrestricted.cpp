@@ -226,6 +226,144 @@ TEST(Unrestricted, MatchesDirectMaxMarginalUtilityGreedy) {
           << shape.cores << " cores, trial " << trial << " (pointer view)";
     }
   }
+
+  // The Monte-Carlo sweep's own inputs: mixes of the 26-curve suite bank,
+  // drawn per trial as run_monte_carlo draws them.
+  const CmpGeometry geometry;
+  const auto& suite = trace::spec2000_suite();
+  std::vector<msa::MissRatioCurve> bank;
+  for (const auto& model : suite) {
+    bank.push_back(msa::MissRatioCurve::from_model(model, 128).scaled(model.l2_apki));
+  }
+  for (const std::uint64_t seed : {2009ULL, 7ULL}) {
+    for (std::uint64_t trial = 0; trial < 2000; ++trial) {
+      common::Rng mix_rng(seed, trial);
+      const auto mix = trace::random_mix(mix_rng, bank.size(), geometry.num_cores);
+      std::vector<msa::MissRatioCurve> curves;
+      std::vector<const msa::MissRatioCurve*> views;
+      for (const auto index : mix.workload_indices) {
+        curves.push_back(bank[index]);
+        views.push_back(&bank[index]);
+      }
+      const auto expected = direct_greedy(geometry, curves, {});
+      ASSERT_EQ(unrestricted_partition(geometry, curves).ways_per_core,
+                expected.ways_per_core)
+          << "seed " << seed << ", mix " << trial;
+      ASSERT_EQ(unrestricted_partition(
+                    geometry, std::span<const msa::MissRatioCurve* const>(views))
+                    .ways_per_core,
+                expected.ways_per_core)
+          << "seed " << seed << ", mix " << trial << " (pointer view)";
+    }
+  }
+}
+
+// Fixed cases for the lookahead's early stop: each pins a shape where a
+// wrong bound, tie rule or record lookup changes the allocation.
+
+void expect_matches_direct(const CmpGeometry& geometry,
+                           const std::vector<msa::MissRatioCurve>& curves,
+                           const UnrestrictedConfig& config = {}) {
+  EXPECT_EQ(unrestricted_partition(geometry, curves, config).ways_per_core,
+            direct_greedy(geometry, curves, config).ways_per_core);
+}
+
+/// Gentle curve: `ways` equally useful ways, then nothing.
+msa::MissRatioCurve slope(WayCount ways, double hits_per_way) {
+  return msa::MissRatioCurve(std::vector<double>(ways, hits_per_way), 5.0);
+}
+
+TEST(Unrestricted, LateCliffAfterFlatWaysMatchesDirect) {
+  // Core 0 gains nothing for 90 ways, then everything: every lane before
+  // the cliff removes zero misses, so only a bound on the misses still
+  // removable past the current allocation may stop its scan.
+  const CmpGeometry geometry;
+  std::vector<double> hits(128, 0.0);
+  hits[90] = 1000.0;
+  std::vector<msa::MissRatioCurve> curves{msa::MissRatioCurve(hits, 10.0)};
+  for (CoreId core = 1; core < geometry.num_cores; ++core) {
+    curves.push_back(slope(16, 1.0 + core));
+  }
+  expect_matches_direct(geometry, curves);
+  EXPECT_EQ(unrestricted_partition(geometry, curves).ways_per_core[0], 91u);
+}
+
+TEST(Unrestricted, CurveShallowerThanHeadroomMatchesDirect) {
+  // Core 0's curve ends after 4 ways while 14 are up for grabs; its best
+  // lane is n = 3. Core 1 takes one way per round while the balance
+  // shrinks under core 0's unchanged allocation, so core 0's later rounds
+  // must read the best lane within the shrunken headroom.
+  CmpGeometry geometry;
+  geometry.num_cores = 2;
+  geometry.num_banks = 4;
+  geometry.ways_per_bank = 4;
+  const msa::MissRatioCurve shallow({0.0, 1.0, 0.0, 5.0}, 3.0);
+
+  // The balance reaches exactly 3 when core 1's utility drops below core
+  // 0's: the record at n == headroom must still win.
+  std::vector<double> hits(16, 1.5);
+  hits[0] = 0.0;
+  std::fill(hits.begin() + 1, hits.begin() + 12, 3.0);
+  std::vector<msa::MissRatioCurve> curves{shallow, msa::MissRatioCurve(hits, 1.0)};
+  expect_matches_direct(geometry, curves);
+  EXPECT_EQ(unrestricted_partition(geometry, curves).ways_per_core,
+            (std::vector<WayCount>{4, 12}));
+
+  // The balance falls to 2, below that record: the round must fall back
+  // to the best lane within the headroom (n = 1) instead.
+  hits.assign(13, 3.0);
+  hits[0] = 0.0;
+  curves[1] = msa::MissRatioCurve(hits, 1.0);
+  expect_matches_direct(geometry, curves);
+  EXPECT_EQ(unrestricted_partition(geometry, curves).ways_per_core,
+            (std::vector<WayCount>{3, 13}));
+}
+
+TEST(Unrestricted, AllFlatCurvesSpreadRoundRobinMatchesDirect) {
+  // No lane removes a miss anywhere, so every scan stops at its first lane
+  // and the ways are spread round-robin.
+  const CmpGeometry geometry;
+  std::vector<msa::MissRatioCurve> curves;
+  for (CoreId core = 0; core < geometry.num_cores; ++core) {
+    curves.emplace_back(std::vector<double>(core * 8, 0.0), 7.0);
+  }
+  expect_matches_direct(geometry, curves);
+  EXPECT_EQ(unrestricted_partition(geometry, curves).ways_per_core,
+            std::vector<WayCount>(geometry.num_cores, 16));
+}
+
+TEST(Unrestricted, ZeroMinimumWaysMatchesDirect) {
+  // With no minimum, scans start at zero ways, where miss_count is the
+  // curve's total rather than a prefix read.
+  const CmpGeometry geometry;
+  UnrestrictedConfig config;
+  config.min_ways_per_core = 0;
+  std::vector<msa::MissRatioCurve> curves;
+  for (CoreId core = 0; core < geometry.num_cores; ++core) {
+    std::vector<double> hits(4 + 8 * core, 0.0);
+    hits.back() = 10.0 * (core + 1);
+    hits.front() = 1.0;
+    curves.emplace_back(std::move(hits), 2.0);
+  }
+  expect_matches_direct(geometry, curves, config);
+  config.max_ways_per_core = 24;
+  expect_matches_direct(geometry, curves, config);
+}
+
+TEST(Unrestricted, EqualUtilityLanesPreferSmallestIncrement) {
+  // Core 0's lanes 1 and 3 both remove 3 misses per way. The first (n = 1)
+  // must win, which hands the tie with core 1 in the next round to core 1
+  // (more current misses); taking n = 3 at once would starve core 1.
+  CmpGeometry geometry;
+  geometry.num_cores = 2;
+  geometry.num_banks = 5;
+  geometry.ways_per_bank = 1;
+  const std::vector<msa::MissRatioCurve> curves{
+      msa::MissRatioCurve({0.0, 3.0, 0.0, 6.0, 0.0, 1.0}, 10.0),
+      msa::MissRatioCurve({0.0, 3.0}, 16.0)};
+  expect_matches_direct(geometry, curves);
+  EXPECT_EQ(unrestricted_partition(geometry, curves).ways_per_core,
+            (std::vector<WayCount>{3, 2}));
 }
 
 }  // namespace
