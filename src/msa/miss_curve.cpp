@@ -34,12 +34,6 @@ MissRatioCurve MissRatioCurve::from_model(const trace::WorkloadModel& model,
   return MissRatioCurve(std::move(weights), deep);
 }
 
-double MissRatioCurve::miss_count(WayCount ways) const {
-  if (ways == 0 || prefix_hits_.empty()) return total_;
-  const std::size_t index = std::min<std::size_t>(ways, prefix_hits_.size()) - 1;
-  return total_ - prefix_hits_[index];
-}
-
 double MissRatioCurve::miss_ratio(WayCount ways) const {
   return total_ == 0.0 ? 0.0 : miss_count(ways) / total_;
 }

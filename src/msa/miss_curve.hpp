@@ -1,6 +1,6 @@
 #pragma once
 
-#include <span>
+#include <algorithm>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -39,13 +39,15 @@ class MissRatioCurve {
   WayCount max_ways() const { return static_cast<WayCount>(prefix_hits_.size()); }
 
   /// Projected miss count with `ways` allocated ways (`ways` may be 0, and
-  /// is clamped to max_ways() above).
-  double miss_count(WayCount ways) const;
-
-  /// Raw cumulative-hits representation — prefix_hits()[w-1] = hits at
-  /// depth <= w — for partition::unrestricted_partition's lookahead scan,
-  /// which reads it contiguously; miss_count() is the reference lookup.
-  std::span<const double> prefix_hits() const { return prefix_hits_; }
+  /// is clamped to max_ways() above). Never increases with `ways`: the
+  /// constructor asserts every hit count is non-negative and scaled() a
+  /// non-negative factor, so prefix hits never decrease. Inline because
+  /// the partitioners' lookahead scans call it once per lane.
+  double miss_count(WayCount ways) const {
+    if (ways == 0 || prefix_hits_.empty()) return total_;
+    const std::size_t index = std::min<std::size_t>(ways, prefix_hits_.size()) - 1;
+    return total_ - prefix_hits_[index];
+  }
 
   /// miss_count / total (0 if the curve is empty).
   double miss_ratio(WayCount ways) const;

@@ -57,6 +57,15 @@ struct BankAwareCapacity {
 /// whose Marginal Utility demands ways beyond its own Local bank is paired
 /// with whichever adjacent incomplete core yields minimal combined misses
 /// under the pair's optimal 16-way split.
+///
+/// Results are bit-identical to recomputing every utility each round:
+/// - Boxes 1-2 keep each core's multi-bank lookahead as a prefix maximum
+///   over the bank count and rescan only the round's winner. A loser's
+///   ways do not change and its headroom only shrinks as Center banks run
+///   out, so its prefix maximum at the smaller headroom is the value a
+///   rescan would compute.
+/// - Boxes 4-5 compute each pending core's utility of growing past its
+///   Local bank once: its ways do not change until it is paired.
 BankAwareCapacity bank_aware_capacity(const CmpGeometry& geometry,
                                       std::span<const msa::MissRatioCurve> curves);
 
