@@ -41,6 +41,7 @@
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
+#include "harness/config_cli.hpp"
 #include "harness/monte_carlo.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/report.hpp"
@@ -87,9 +88,10 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 int main(int argc, char** argv) {
   using namespace bacp;
 
+  constexpr harness::EnvFlag kSampledTrialsKnob{"sampled-trials", "BACP_TRIAL_SAMPLED",
+                                                 "trials for the sampled surface"};
   auto spec = harness::MonteCarloConfig::cli_flags();
-  spec.push_back(
-      {"sampled-trials=", "trials for the sampled surface (env BACP_TRIAL_SAMPLED)"});
+  spec.push_back(harness::value_flag(kSampledTrialsKnob));
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
@@ -102,8 +104,8 @@ int main(int argc, char** argv) {
   harness::MonteCarloConfig base = harness::MonteCarloConfig::from_args(parser);
   const auto analytic_trials = static_cast<std::size_t>(parser.get_u64_or_fail(
       "trials", common::env_u64("BACP_MC_TRIALS", 20'000)));
-  const auto sampled_trials = static_cast<std::size_t>(parser.get_u64_or_fail(
-      "sampled-trials", common::env_u64("BACP_TRIAL_SAMPLED", 12)));
+  const auto sampled_trials =
+      static_cast<std::size_t>(harness::read_positive_u64(parser, kSampledTrialsKnob, 12));
 
   obs::PhaseTimers timers;
   obs::Report report("trial_throughput", "Trial-engine throughput (trials/second)");

@@ -50,7 +50,8 @@ struct MonteCarloConfig {
 
   /// Builds a config from parsed flags. Precedence: explicit flag, then the
   /// legacy BACP_MC_{TRIALS,SEED} / BACP_THREADS environment knobs, then
-  /// the built-in defaults. An unusable --snapshot-bank exits 2.
+  /// the built-in defaults. An unusable --snapshot-bank exits 2, and so
+  /// does a zero --trials, --sampled-intervals or --sampled-interval-instr.
   static MonteCarloConfig from_args(const common::ArgParser& parser);
 };
 
