@@ -27,7 +27,7 @@ namespace bacp::audit {
 /// Which core structure a violation was found in.
 enum class Structure : std::uint8_t {
   Cache,      ///< one cache::SetAssocCache instance (an L1 or an L2 bank)
-  Nuca,       ///< nuca::DnucaCache aggregation state (residency index, views)
+  Nuca,       ///< nuca::DnucaCache aggregation state (residency rows, views)
   Directory,  ///< coherence::MoesiDirectory entry legality
   Partition,  ///< partition plan (way masks, allocations, bank lists)
   Cross,      ///< cross-structure agreement (inclusion, directory vs. L1s)
@@ -82,11 +82,12 @@ struct AuditReport {
 /// per-core owned-way masks match them.
 AuditReport audit_cache(const cache::SetAssocCache& cache);
 
-/// DnucaCache: every bank passes audit_cache; the {bank, way} residency
-/// index agrees *bidirectionally* with bank contents (every resident line
-/// is indexed at its exact slot, every index entry points at a matching
-/// valid line, so the index is neither stale nor missing entries); the
-/// per-core bank views and the flattened view-position table agree.
+/// DnucaCache: every bank passes audit_cache; the residency rows agree
+/// slot for slot with bank contents (a valid line's slot holds its partial
+/// tag, every other slot is empty, and the lookup finds each resident
+/// block at its exact {bank, way}, so the rows are neither stale nor
+/// missing entries); the per-core bank views and the flattened
+/// view-position table agree.
 AuditReport audit_nuca(const nuca::DnucaCache& cache);
 
 /// MoesiDirectory: every entry has at least one sharer within the valid

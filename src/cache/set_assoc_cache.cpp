@@ -341,13 +341,31 @@ void SetAssocCache::restore_state(snapshot::Reader& reader) {
   BACP_ASSERT(reader.u32() == config_.num_cores, "snapshot num_cores mismatch");
   reader.scalars_into(std::span<BlockAddress>(tags_));
   reader.scalars_into(std::span<CoreId>(allocators_));
+  // Checksums vouch for the bytes, not for what they say: a mask bit at or
+  // above `ways`, or a recency byte that is neither kNil nor a way, would
+  // send the recency walks (and the D-NUCA row rebuild) outside the set.
+  // One pass over the metadata gathers every mask bit and the largest
+  // recency byte + 1, in which kNil (0xFF) wraps to 0.
+  std::uint64_t mask_bits = 0;
+  std::uint8_t link_top = 0;
+  const auto note_link = [&link_top](std::uint8_t link) {
+    link_top = std::max(link_top, static_cast<std::uint8_t>(link + 1));
+  };
   for (SetMeta& meta : meta_) {
     meta.valid = reader.u64();
     meta.dirty = reader.u64();
     meta.head = reader.u8();
     meta.tail = reader.u8();
+    mask_bits |= meta.valid | meta.dirty;
+    note_link(meta.head);
+    note_link(meta.tail);
   }
   reader.scalars_into(std::span<std::uint8_t>(links_));
+  for (const std::uint8_t link : links_) note_link(link);
+  const std::uint64_t way_bits =
+      config_.ways == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << config_.ways) - 1;
+  BACP_ASSERT((mask_bits & ~way_bits) == 0 && link_top <= config_.ways,
+              "snapshot cache metadata indexes outside its set");
   reader.scalars_into(std::span<CoreMask>(way_masks_));
   reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
   reader.scalars_into(std::span<std::uint64_t>(stats_.misses));

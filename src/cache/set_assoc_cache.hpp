@@ -94,7 +94,7 @@ class SetAssocCache {
   FillResult fill(BlockAddress block, CoreId core, bool dirty);
 
   /// access() hit path when the caller already knows the way the block
-  /// occupies (e.g. from the DNUCA residency index): counts the hit, moves
+  /// occupies (e.g. from a DNUCA residency row): counts the hit, moves
   /// the line to MRU and applies the write's dirty bit — identical
   /// side effects to a hitting access(), minus the tag scan.
   void touch_hit(BlockAddress block, WayIndex way, CoreId core, bool is_write);
@@ -108,6 +108,13 @@ class SetAssocCache {
 
   /// Non-perturbing presence check.
   bool probe(BlockAddress block) const;
+
+  /// True when `way` of `block`'s set holds `block` as a valid line: the
+  /// one-way probe that confirms a D-NUCA partial-tag match.
+  bool holds_at(BlockAddress block, WayIndex way) const {
+    const std::uint32_t set = set_index(block);
+    return tags_[line_index(set, way)] == block && ((meta_[set].valid >> way) & 1) != 0;
+  }
 
   /// Marks a resident block dirty without touching LRU state (used for
   /// writeback updates arriving from the level above). Returns false when

@@ -7,13 +7,12 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/huge_alloc.hpp"
 
 namespace bacp::common {
 
 /// Open-addressing hash map with 64-bit keys, linear probing and
 /// backward-shift deletion. Built for the simulator's per-access block
-/// indices (DNUCA residency, MOESI directory), where
+/// index (the MOESI directory), where
 /// `std::unordered_map`'s node allocation/deallocation per insert/erase
 /// dominated the profile. Each slot carries its own occupancy flag, so a
 /// probe touches exactly one contiguous slot array; the table only
@@ -50,11 +49,6 @@ class FlatHash64 {
     const std::size_t slot = find_slot(key);
     return slot == kNotFound ? nullptr : &slots_[slot].value;
   }
-
-  /// Issues a read prefetch for `key`'s probe line, so a lookup issued a
-  /// few accesses later finds the table's (cold, multi-MB) slot array line
-  /// already in flight — the find() that follows still decides.
-  void prefetch(Key key) const { __builtin_prefetch(&slots_[ideal_slot(key)]); }
 
   /// Returns the value for `key`, default-constructing it if absent (the
   /// `operator[]` idiom).
@@ -170,7 +164,7 @@ class FlatHash64 {
 
   void rehash(std::size_t new_capacity) {
     BACP_ASSERT(std::has_single_bit(new_capacity), "capacity must be a power of two");
-    std::vector<Slot, HugePageAlloc<Slot>> old_slots = std::move(slots_);
+    std::vector<Slot> old_slots = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
     mask_ = new_capacity - 1;
     shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(new_capacity));
@@ -181,10 +175,7 @@ class FlatHash64 {
     }
   }
 
-  // Hugepage-advised storage: the table is the large random-access
-  // structure on the access path, and TLB-resident probes are what let the
-  // lookahead prefetches issue at all (see HugePageAlloc).
-  std::vector<Slot, HugePageAlloc<Slot>> slots_;
+  std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;
   std::size_t size_ = 0;

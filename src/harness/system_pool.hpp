@@ -16,7 +16,7 @@ namespace bacp::harness {
 /// Concurrent free-list of constructed sim::Systems, keyed by the
 /// mix-independent sim::config_digest(config). Constructing a System is the
 /// dominant setup cost of a short sampled trial — the generator recency
-/// rings and the NUCA residency reserve alone fault in tens of megabytes —
+/// rings and the L2 bank arrays alone fault in tens of megabytes —
 /// while System::reset_in_place() rewinds all of that storage to
 /// cold-construction state without touching the allocator. The pool turns
 /// per-trial construction into per-worker construction: a trial leases a

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
-#include "common/flat_hash.hpp"
 #include "common/inline_vec.hpp"
 #include "common/types.hpp"
 #include "noc/noc.hpp"
@@ -100,9 +99,11 @@ void export_stats(const DnucaStats& stats, obs::Registry& registry);
 /// into one partition. Timing is delegated to the NoC model.
 ///
 /// Every block resides in at most one bank (all fill paths install only
-/// non-resident blocks), so lookups go through a block -> bank residency
-/// index instead of probing bank after bank; the modelled directory-lookup
-/// *accounting* is unchanged — it depends only on the aggregation scheme
+/// non-resident blocks), and all banks share one set index, so a lookup
+/// scans the block's residency row — one 16-bit partial tag per (bank, way)
+/// of its set, the per-set directory of the paper's Parallel aggregation —
+/// instead of probing bank after bank. The modelled directory-lookup
+/// *accounting* is unchanged: it depends only on the aggregation scheme
 /// and the found bank's position in the requester's view, not on how the
 /// software locates the line.
 class DnucaCache {
@@ -123,10 +124,14 @@ class DnucaCache {
   /// no longer resident (caller forwards to memory).
   bool writeback_update(BlockAddress block);
 
-  /// Read-prefetch of the residency probe line for `block`. sim::System
-  /// issues it for the next few accesses of a core's buffered stream (the
-  /// index is the large, cold structure on the access path).
-  void prefetch(BlockAddress block) const { residency_.prefetch(block); }
+  /// Read-prefetch of `block`'s residency row. sim::System issues it for
+  /// the next few accesses of a core's buffered stream.
+  void prefetch(BlockAddress block) const {
+    const std::uint16_t* row = row_of(block);
+    for (std::size_t slot = 0; slot < row_slots(); slot += kSlotsPerCacheLine) {
+      __builtin_prefetch(row + slot);
+    }
+  }
 
   /// Whole-structure presence probe (tests / invariants).
   bool resident(BlockAddress block) const;
@@ -137,10 +142,9 @@ class DnucaCache {
 
   /// Rewinds the whole structure to its just-constructed state — every bank
   /// reset, every core's view back to the all-banks default, fill cursors
-  /// and residency index empty, zero statistics — without freeing or
-  /// reallocating the flat arrays or the residency table's slab. A snapshot
-  /// taken after reset_in_place() is byte-identical to one taken after
-  /// construction.
+  /// and residency rows empty, zero statistics — without freeing or
+  /// reallocating the flat arrays. A snapshot taken after reset_in_place()
+  /// is byte-identical to one taken after construction.
   void reset_in_place();
 
   const DnucaConfig& config() const { return config_; }
@@ -148,14 +152,14 @@ class DnucaCache {
   const std::vector<BankId>& view_of(CoreId core) const { return views_.at(core); }
 
   /// Serializes all banks, the partition views, the fill cursors and
-  /// statistics. The residency index is not written: it is derived from
-  /// the banks' valid lines, and restore rebuilds it from them (as it
-  /// rebuilds the view positions). Restore asserts the geometry echo.
+  /// statistics. The residency rows are not written: they are derived from
+  /// the banks' valid lines, and restore rebuilds them (as it rebuilds the
+  /// view positions). Restore asserts the geometry echo.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
  private:
-  /// The structural auditor cross-checks the residency index against bank
+  /// The structural auditor cross-checks the residency rows against bank
   /// contents; the test peer desyncs them for the auditor's kill-tests.
   friend class audit::NucaAuditor;
   friend struct NucaTestPeer;
@@ -163,22 +167,57 @@ class DnucaCache {
   /// Sentinel for "bank not in this core's view".
   static constexpr std::uint32_t kNotInView = static_cast<std::uint32_t>(-1);
 
-  /// Where a resident block lives. The way is exact, not a hint: every
-  /// path that installs or removes a line updates the index, and a line's
-  /// way never changes while it stays resident — so hits, writebacks and
-  /// migrations skip the bank's tag scan entirely. Half-width fields keep
-  /// a residency hash slot (key + Location) at 16 bytes, four per cache
-  /// line — the table is tens of megabytes, so probe misses dominate the
-  /// lookup cost (the ctor asserts the geometry fits).
+  /// Residency slots per 64-bit word of a row scan, and per cache line.
+  static constexpr std::size_t kSlotsPerWord = 4;
+  static constexpr std::size_t kSlotsPerCacheLine = 32;
+
+  /// Where a resident block lives (bank kInvalidBank: nowhere). The way is
+  /// exact, so hits, writebacks and migrations skip the bank's tag scan.
   struct Location {
-    std::uint16_t bank = 0;
-    std::uint16_t way = 0;
+    BankId bank = kInvalidBank;
+    WayIndex way = 0;
   };
+
+  /// `block`'s partial tag in its residency row; never 0, which marks an
+  /// empty slot.
+  static std::uint16_t partial_tag_of(BlockAddress block);
+
+  /// Slots per residency row: one per (bank, way), rounded up to whole
+  /// 64-bit words.
+  std::size_t row_slots() const {
+    const std::size_t slots =
+        std::size_t{config_.geometry.num_banks} * config_.geometry.ways_per_bank;
+    return (slots + kSlotsPerWord - 1) / kSlotsPerWord * kSlotsPerWord;
+  }
+
+  /// First slot of the residency row of `block`'s set.
+  const std::uint16_t* row_of(BlockAddress block) const {
+    return fingerprints_.data() + (block & (config_.sets_per_bank - 1)) * row_slots();
+  }
+
+  /// Writes `tag` (0: empty) into the (bank, way) slot of `block`'s row.
+  void set_slot(BlockAddress block, BankId bank, WayIndex way, std::uint16_t tag) {
+    fingerprints_[(block & (config_.sets_per_bank - 1)) * row_slots() +
+                  std::size_t{bank} * config_.geometry.ways_per_bank + way] = tag;
+  }
+
+  /// Scans `block`'s row for its partial tag and confirms each match
+  /// against the bank, so aliasing costs a probe, never a wrong answer.
+  Location locate(BlockAddress block) const;
+
+  /// bank.fill() that records `block` in the filled slot, which also
+  /// retires the victim's tag (the victim held that slot).
+  cache::FillResult fill_slot(BankId bank, BlockAddress block, CoreId core, bool dirty);
+
+  /// bank.invalidate_at() that empties the line's slot.
+  cache::Line take_line(BlockAddress block, Location at);
+
+  /// Rewrites every row from the banks' valid lines.
+  void rebuild_rows();
 
   /// Fills `block` into `bank_id` for `core`, cascading the displaced
   /// victim down `chain` starting at `chain_next` (empty chain: victim
-  /// leaves the cache). Appends fully-evicted lines to `outcome` and keeps
-  /// the residency index in sync.
+  /// leaves the cache). Appends fully-evicted lines to `outcome`.
   void fill_with_demotion(BlockAddress block, CoreId core, bool dirty, BankId bank_id,
                           std::span<const BankId> demotion_chain, Cycle now,
                           L2AccessOutcome& outcome);
@@ -201,8 +240,12 @@ class DnucaCache {
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over views_; rebuilt by rebuild_view_positions() on restore
   std::vector<std::uint32_t> view_pos_;         // core x bank -> index in view
   std::vector<std::size_t> round_robin_;        // per core: Parallel fill cursor
-  // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over banks_' valid lines; rebuilt from the banks on restore
-  common::FlatHash64<Location> residency_;      // block -> unique holding bank+way
+  // Residency rows, set-major (fingerprints_[set][bank][way]): a set's row
+  // is row_slots() 16-bit partial tags, slot bank * ways_per_bank + way;
+  // padding slots stay 0. A slot holds its line's tag while the line is
+  // valid and 0 otherwise.
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from banks_' valid lines; rebuild_rows() on restore
+  std::vector<std::uint16_t> fingerprints_;
   DnucaStats stats_;
 };
 

@@ -109,7 +109,7 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
 /// Pooled-System variant: with `reuse != nullptr` the engine rewinds the
 /// caller's System via System::reset_in_place(mix) instead of constructing
 /// one — the dominant setup cost of short sampled trials (generator recency
-/// rings, residency index reserves) is paid once per pooled System instead
+/// rings, L2 bank arrays) is paid once per pooled System instead
 /// of once per trial. `reuse` must have been built under a config whose
 /// mix-independent sim::config_digest() matches `config`'s (asserted);
 /// harness::SystemPool keys its Systems exactly this way. Results are

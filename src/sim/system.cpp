@@ -381,9 +381,8 @@ trace::MemoryAccess System::next_access(CoreId core) {
   if (stream.cursor >= stream.batch.size) {
     generators_[core]->next_batch(stream.batch, trace::AccessBatch::kMaxSize);
     stream.cursor = 0;
-    // Lookahead over the fresh batch: the L2 residency probes walk a
-    // multi-megabyte table, so a handful of prefetches here turns the
-    // upcoming dependent misses into overlapped ones.
+    // Lookahead over the fresh batch: prefetching the upcoming accesses'
+    // L2 residency rows turns their dependent misses into overlapped ones.
     const std::uint32_t lookahead = std::min<std::uint32_t>(8, stream.batch.size);
     for (std::uint32_t i = 0; i < lookahead; ++i) {
       l2_->prefetch(stream.batch.accesses[i].block);

@@ -58,8 +58,21 @@ namespace bacp::nuca {
 struct NucaTestPeer {
   using Location = DnucaCache::Location;
 
-  static common::FlatHash64<Location>& residency(DnucaCache& cache) {
-    return cache.residency_;
+  static Location locate(const DnucaCache& cache, BlockAddress block) {
+    return cache.locate(block);
+  }
+  static std::uint16_t partial_tag_of(BlockAddress block) {
+    return DnucaCache::partial_tag_of(block);
+  }
+  /// Writes a residency-row slot behind the banks' back.
+  static void set_slot(DnucaCache& cache, BlockAddress block, BankId bank, WayIndex way,
+                       std::uint16_t tag) {
+    cache.set_slot(block, bank, way, tag);
+  }
+  /// Evicts a resident block through the L2's own bookkeeping (bank line
+  /// and row slot), without telling anything above it.
+  static void evict(DnucaCache& cache, BlockAddress block) {
+    cache.take_line(block, cache.locate(block));
   }
   static cache::SetAssocCache& bank(DnucaCache& cache, BankId id) {
     return cache.banks_[id];
@@ -255,11 +268,13 @@ TEST(AuditNuca, KillsMissingResidencyEntry) {
   DnucaCache cache(small_dnuca_config(), noc);
   cache.apply_assignment(partition::equal_partition(cache.config().geometry).assignment);
   populate(cache);
-  // Drop one resident block from the index: the line is still in its bank,
-  // but every future lookup would miss it (a silent duplicate-fill bug).
+  // Zero one resident block's slot: the line is still in its bank, but
+  // every future lookup would miss it (a silent duplicate-fill bug).
   const BlockAddress victim = dnuca_block(0, 100);
-  ASSERT_TRUE(cache.resident(victim));
-  ASSERT_TRUE(NucaTestPeer::residency(cache).erase(victim));
+  const auto at = NucaTestPeer::locate(cache, victim);
+  ASSERT_NE(at.bank, kInvalidBank);
+  NucaTestPeer::set_slot(cache, victim, at.bank, at.way, 0);
+  ASSERT_FALSE(cache.resident(victim));
   const AuditReport report = audit_nuca(cache);
   const Violation& violation =
       require_violation(report, Structure::Nuca, "residency_index");
@@ -271,11 +286,15 @@ TEST(AuditNuca, KillsResidencyEntryPointingAtWrongWay) {
   DnucaCache cache(small_dnuca_config(), noc);
   cache.apply_assignment(partition::equal_partition(cache.config().geometry).assignment);
   populate(cache);
+  // Move a resident block's tag to the next way of its bank: its own slot
+  // goes empty and the other way's slot carries a tag that is not its
+  // line's.
   const BlockAddress victim = dnuca_block(0, 100);
-  ASSERT_TRUE(cache.resident(victim));
-  auto* location = NucaTestPeer::residency(cache).find(victim);
-  ASSERT_NE(location, nullptr);
-  location->way = static_cast<std::uint16_t>((location->way + 1) % 4);
+  const auto at = NucaTestPeer::locate(cache, victim);
+  ASSERT_NE(at.bank, kInvalidBank);
+  NucaTestPeer::set_slot(cache, victim, at.bank, at.way, 0);
+  NucaTestPeer::set_slot(cache, victim, at.bank, (at.way + 1) % 4,
+                         NucaTestPeer::partial_tag_of(victim));
   const AuditReport report = audit_nuca(cache);
   require_violation(report, Structure::Nuca, "residency_index");
 }
@@ -285,14 +304,18 @@ TEST(AuditNuca, KillsStaleResidencyEntryForEvictedBlock) {
   DnucaCache cache(small_dnuca_config(), noc);
   cache.apply_assignment(partition::equal_partition(cache.config().geometry).assignment);
   populate(cache);
-  // Index an address no bank holds — the signature of an eviction path
-  // that forgot to erase the index entry.
-  NucaTestPeer::Location bogus;
-  bogus.bank = 0;
-  bogus.way = 0;
-  NucaTestPeer::residency(cache).insert_or_assign(dnuca_block(7, 9999), bogus);
+  // Drop a resident line from its bank but leave its tag in the row: a
+  // tag on an invalid line, the signature of an eviction path that forgot
+  // to empty the slot.
+  const BlockAddress victim = dnuca_block(7, 100 + 7);
+  const auto at = NucaTestPeer::locate(cache, victim);
+  ASSERT_NE(at.bank, kInvalidBank);
+  ASSERT_TRUE(NucaTestPeer::bank(cache, at.bank).invalidate(victim).has_value());
   const AuditReport report = audit_nuca(cache);
-  require_violation(report, Structure::Nuca, "residency_index");
+  const Violation& violation =
+      require_violation(report, Structure::Nuca, "residency_index");
+  EXPECT_EQ(violation.bank, at.bank);
+  EXPECT_EQ(violation.set, 7u);
 }
 
 TEST(AuditNuca, KillsDesyncedViewPositionTable) {
@@ -520,8 +543,8 @@ TEST(AuditCross, KillsInclusionViolation) {
   ASSERT_TRUE(hierarchy.l1s[0].probe(block));
   const BankId bank = hierarchy.l2.bank_of(block);
   ASSERT_NE(bank, kInvalidBank);
-  NucaTestPeer::bank(hierarchy.l2, bank).invalidate(block);
-  ASSERT_TRUE(NucaTestPeer::residency(hierarchy.l2).erase(block));
+  NucaTestPeer::evict(hierarchy.l2, block);
+  ASSERT_FALSE(hierarchy.l2.resident(block));
   const AuditReport report = audit_system_components(hierarchy.view());
   const Violation& violation = require_violation(report, Structure::Cross, "inclusion");
   EXPECT_EQ(violation.set, 0u);  // the core whose L1 lost its backing copy

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
 #include <unordered_map>
 #include <vector>
 
-#include "common/huge_alloc.hpp"
 #include "common/rng.hpp"
 
 namespace bacp::common {
@@ -161,26 +159,6 @@ TEST(FlatHash64, RandomizedAgainstStdUnorderedMap) {
       EXPECT_EQ(*found, it->second);
     }
   }
-}
-
-TEST(HugePageAlloc, LargeTablesAreHugepageAlignedAndSurviveRegrowth) {
-  constexpr std::size_t kHuge = HugePageAlloc<std::uint64_t>::kHugePage;
-  // 3 MiB: not a whole number of hugepages, so the mapping's rounding is
-  // exercised too.
-  constexpr std::size_t kCount = 3 * (std::size_t{1} << 20) / sizeof(std::uint64_t);
-  std::vector<std::uint64_t, HugePageAlloc<std::uint64_t>> table(kCount);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.data()) % kHuge, 0u);
-  std::iota(table.begin(), table.end(), std::uint64_t{0});
-  // Regrowing copies into a fresh, larger mapping and releases the old one.
-  table.resize(2 * kCount);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.data()) % kHuge, 0u);
-  for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(table[i], i) << "entry " << i;
-  EXPECT_EQ(table.back(), 0u);
-
-  // Small tables stay ordinary heap blocks at the type's alignment.
-  std::vector<std::uint64_t, HugePageAlloc<std::uint64_t>> small(16, 7);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % alignof(std::max_align_t), 0u);
-  EXPECT_EQ(small.back(), 7u);
 }
 
 }  // namespace
