@@ -58,7 +58,6 @@ benches=(
   bench_ablation_maxcap
   bench_ablation_policies
   bench_ablation_profiler_accuracy
-  bench_micro_components
   bench_perf_throughput
   bench_sched_churn
   bench_trial_throughput

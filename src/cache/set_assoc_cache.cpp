@@ -248,13 +248,6 @@ Line SetAssocCache::invalidate_at(BlockAddress block, WayIndex way) {
   return copy;
 }
 
-bool SetAssocCache::mark_dirty(BlockAddress block) {
-  const auto found = find(block);
-  if (!found) return false;
-  meta_[set_index(block)].dirty |= std::uint64_t{1} << found->way;
-  return true;
-}
-
 std::optional<Line> SetAssocCache::invalidate(BlockAddress block) {
   const auto found = find(block);
   if (!found) return std::nullopt;

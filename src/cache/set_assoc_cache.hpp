@@ -99,7 +99,8 @@ class SetAssocCache {
   /// side effects to a hitting access(), minus the tag scan.
   void touch_hit(BlockAddress block, WayIndex way, CoreId core, bool is_write);
 
-  /// mark_dirty() with the way already known.
+  /// Marks the resident block in `way` dirty without touching LRU state
+  /// (writeback updates arriving from the level above).
   void mark_dirty_at(BlockAddress block, WayIndex way);
 
   /// invalidate() with the way already known. Precondition: the line is
@@ -116,18 +117,12 @@ class SetAssocCache {
     return tags_[line_index(set, way)] == block && ((meta_[set].valid >> way) & 1) != 0;
   }
 
-  /// Marks a resident block dirty without touching LRU state (used for
-  /// writeback updates arriving from the level above). Returns false when
-  /// the block is not resident.
-  bool mark_dirty(BlockAddress block);
-
   /// Removes a block if present; returns its prior contents.
   std::optional<Line> invalidate(BlockAddress block);
 
   /// Least-recently-used valid line of the set that holds `block`'s set
-  /// index, restricted to ways owned by `core` (used by the Cascade
-  /// aggregation to demote down the chain). Empty if all such ways are
-  /// invalid.
+  /// index, restricted to ways owned by `core`. Empty if all such ways
+  /// are invalid.
   std::optional<Line> lru_line_for_core(BlockAddress block, CoreId core) const;
 
   /// Replaces the per-way core masks. Resident lines are untouched: after a

@@ -72,12 +72,6 @@ void ArgParser::fatal_usage(const std::string& message) const {
   std::exit(2);
 }
 
-const std::string* ArgParser::raw_or_fatal_if_missing(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) fatal_usage("missing required flag --" + name);
-  return &it->second;
-}
-
 namespace {
 
 /// Composes the fatal-usage message for a malformed flag value.
@@ -93,15 +87,6 @@ std::uint64_t ArgParser::get_u64_or_fail(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const auto result = parse_u64(it->second);
-  if (!result) fatal_usage(flag_error(name, it->second, result.error));
-  return *result;
-}
-
-std::int64_t ArgParser::get_i64_or_fail(const std::string& name,
-                                        std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const auto result = parse_i64(it->second);
   if (!result) fatal_usage(flag_error(name, it->second, result.error));
   return *result;
 }
@@ -122,22 +107,10 @@ bool ArgParser::get_bool_or_fail(const std::string& name, bool fallback) const {
   return *result;
 }
 
-std::uint64_t ArgParser::require_u64(const std::string& name) const {
-  const std::string& raw = *raw_or_fatal_if_missing(name);
-  const auto result = parse_u64(raw);
-  if (!result) fatal_usage(flag_error(name, raw, result.error));
-  return *result;
-}
-
-double ArgParser::require_double(const std::string& name) const {
-  const std::string& raw = *raw_or_fatal_if_missing(name);
-  const auto result = parse_double(raw);
-  if (!result) fatal_usage(flag_error(name, raw, result.error));
-  return *result;
-}
-
 std::string ArgParser::require_string(const std::string& name) const {
-  return *raw_or_fatal_if_missing(name);
+  const auto it = values_.find(name);
+  if (it == values_.end()) fatal_usage("missing required flag --" + name);
+  return it->second;
 }
 
 std::string ArgParser::help(const std::string& program) const {

@@ -36,13 +36,10 @@ class ArgParser {
   /// Strict typed accessors: absent flag -> fallback; present-but-malformed
   /// flag -> message naming the flag + usage text on stderr, exit(2).
   std::uint64_t get_u64_or_fail(const std::string& name, std::uint64_t fallback) const;
-  std::int64_t get_i64_or_fail(const std::string& name, std::int64_t fallback) const;
   double get_double_or_fail(const std::string& name, double fallback) const;
   bool get_bool_or_fail(const std::string& name, bool fallback) const;
 
-  /// Required flags: absent *or* malformed is the same fatal usage error.
-  std::uint64_t require_u64(const std::string& name) const;
-  double require_double(const std::string& name) const;
+  /// Required flag: absent is a fatal usage error.
   std::string require_string(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -61,8 +58,6 @@ class ArgParser {
     std::string help_text;
     bool takes_value = false;
   };
-
-  const std::string* raw_or_fatal_if_missing(const std::string& name) const;
 
   std::map<std::string, Flag> spec_;
   std::map<std::string, std::string> values_;

@@ -27,28 +27,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return *result;
 }
 
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const auto result = parse_double(raw);
-  if (!result) {
-    warn_malformed(name, raw, result.error);
-    return fallback;
-  }
-  return *result;
-}
-
-bool env_bool(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const auto result = parse_bool(raw);
-  if (!result) {
-    warn_malformed(name, raw, result.error);
-    return fallback;
-  }
-  return *result;
-}
-
 std::string env_string(const char* name, const std::string& fallback) {
   const char* raw = std::getenv(name);
   return (raw == nullptr || *raw == '\0') ? fallback : std::string(raw);

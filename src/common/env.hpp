@@ -14,8 +14,6 @@ namespace bacp::common {
 /// the rejected value and the reason is printed to stderr before the default
 /// is used, so a mis-set knob can't invisibly change what an experiment ran.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
-double env_double(const char* name, double fallback);
-bool env_bool(const char* name, bool fallback);
 std::string env_string(const char* name, const std::string& fallback);
 
 }  // namespace bacp::common

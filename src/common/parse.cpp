@@ -18,38 +18,27 @@ std::string quoted_tail(std::string_view tail) {
   return "trailing characters '" + std::string(tail) + "'";
 }
 
-template <typename T>
-ParseResult<T> parse_integer(std::string_view text, const char* type_name) {
-  if (text.empty()) return fail<T>("empty value");
-  if constexpr (!std::is_signed_v<T>) {
-    // std::strtoull silently negates "-1" into 2^64-1; std::from_chars
-    // rejects the sign for unsigned types, but we name the failure mode.
-    if (text.front() == '-') return fail<T>("negative value not allowed");
-  }
-  if (text.front() == '+') return fail<T>("leading '+' not allowed");
-  T value{};
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), value, 10);
-  if (result.ec == std::errc::result_out_of_range) {
-    return fail<T>(std::string("value out of range for ") + type_name);
-  }
-  if (result.ec != std::errc()) return fail<T>("not a number");
-  if (result.ptr != text.data() + text.size()) {
-    return fail<T>(quoted_tail(text.substr(
-        static_cast<std::size_t>(result.ptr - text.data()))));
-  }
-  ParseResult<T> out;
-  out.value = value;
-  return out;
-}
-
 }  // namespace
 
 ParseResult<std::uint64_t> parse_u64(std::string_view text) {
-  return parse_integer<std::uint64_t>(text, "a 64-bit unsigned integer");
-}
-
-ParseResult<std::int64_t> parse_i64(std::string_view text) {
-  return parse_integer<std::int64_t>(text, "a 64-bit signed integer");
+  if (text.empty()) return fail<std::uint64_t>("empty value");
+  // std::strtoull silently negates "-1" into 2^64-1; std::from_chars
+  // rejects the sign for unsigned types, but we name the failure mode.
+  if (text.front() == '-') return fail<std::uint64_t>("negative value not allowed");
+  if (text.front() == '+') return fail<std::uint64_t>("leading '+' not allowed");
+  std::uint64_t value = 0;
+  const auto result = std::from_chars(text.data(), text.data() + text.size(), value, 10);
+  if (result.ec == std::errc::result_out_of_range) {
+    return fail<std::uint64_t>("value out of range for a 64-bit unsigned integer");
+  }
+  if (result.ec != std::errc()) return fail<std::uint64_t>("not a number");
+  if (result.ptr != text.data() + text.size()) {
+    return fail<std::uint64_t>(quoted_tail(text.substr(
+        static_cast<std::size_t>(result.ptr - text.data()))));
+  }
+  ParseResult<std::uint64_t> out;
+  out.value = value;
+  return out;
 }
 
 ParseResult<double> parse_double(std::string_view text) {

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace bacp::common {
 
@@ -13,32 +12,6 @@ double geometric_mean(std::span<const double> values) {
     log_sum += std::log(v);
   }
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-std::string GuardedGeomean::warning(double epsilon) const {
-  if (clean()) return "";
-  std::ostringstream oss;
-  oss << "geometric mean clamped " << clamped << " of " << count
-      << " non-positive value(s) up to " << epsilon;
-  return oss.str();
-}
-
-GuardedGeomean guarded_geometric_mean(std::span<const double> values,
-                                      double epsilon) {
-  BACP_ASSERT(!values.empty(), "guarded_geometric_mean of an empty range");
-  BACP_ASSERT(epsilon > 0.0, "guarded_geometric_mean epsilon must be positive");
-  GuardedGeomean result;
-  result.count = values.size();
-  double log_sum = 0.0;
-  for (double v : values) {
-    if (!(v > 0.0)) {
-      ++result.clamped;
-      v = epsilon;
-    }
-    log_sum += std::log(std::max(v, epsilon));
-  }
-  result.value = std::exp(log_sum / static_cast<double>(values.size()));
-  return result;
 }
 
 double arithmetic_mean(std::span<const double> values) {

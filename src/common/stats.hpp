@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -34,22 +33,6 @@ class StreamingStats {
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
 
-  void merge(const StreamingStats& other) {
-    if (other.count_ == 0) return;
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const auto n1 = static_cast<double>(count_);
-    const auto n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * n2 / (n1 + n2);
-    m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-    count_ += other.count_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
@@ -59,31 +42,8 @@ class StreamingStats {
 };
 
 /// Geometric mean of strictly positive values; the paper reports GM columns
-/// in Figs. 8 and 9. Aborts on non-positive input — aggregation paths that
-/// can legitimately see zeros (zero-miss sampled intervals) must use
-/// guarded_geometric_mean instead.
+/// in Figs. 8 and 9. Aborts on non-positive input.
 double geometric_mean(std::span<const double> values);
-
-/// Outcome of a guarded geometric mean: the mean over the guarded inputs
-/// plus a structured account of what the guard had to do, so callers can
-/// surface a warning instead of silently laundering degenerate data.
-struct GuardedGeomean {
-  double value = 0.0;      ///< geomean with non-positive inputs clamped
-  std::size_t count = 0;   ///< inputs considered
-  std::size_t clamped = 0; ///< non-positive inputs clamped up to epsilon
-
-  bool clean() const { return clamped == 0; }
-  /// "" when clean; otherwise one line naming the clamp count and epsilon.
-  std::string warning(double epsilon) const;
-};
-
-/// Geometric mean that survives non-positive values: every value <= 0 is
-/// clamped up to `epsilon` (keeping the population size honest — a zero
-/// still drags the mean down hard) and counted in the result instead of
-/// aborting the run. An empty range still aborts: that is a caller bug,
-/// not a data property.
-GuardedGeomean guarded_geometric_mean(std::span<const double> values,
-                                      double epsilon = 1e-12);
 
 /// Arithmetic mean.
 double arithmetic_mean(std::span<const double> values);

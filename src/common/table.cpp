@@ -35,10 +35,6 @@ Table& Table::add_cell(double value, int precision) {
   return add_cell(format_double(value, precision));
 }
 
-Table& Table::add_cell(std::uint64_t value) {
-  return add_cell(std::to_string(value));
-}
-
 const std::string& Table::cell(std::size_t row, std::size_t col) const {
   return rows_.at(row).at(col);
 }

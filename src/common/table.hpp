@@ -16,7 +16,6 @@ class Table {
   Table& begin_row();
   Table& add_cell(std::string value);
   Table& add_cell(double value, int precision = 3);
-  Table& add_cell(std::uint64_t value);
 
   std::size_t num_rows() const { return rows_.size(); }
   std::size_t num_columns() const { return header_.size(); }

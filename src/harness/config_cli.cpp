@@ -41,12 +41,6 @@ std::uint64_t read_positive_u64(const common::ArgParser& parser, const EnvFlag& 
   return value;
 }
 
-double read_double(const common::ArgParser& parser, const EnvFlag& knob, double fallback) {
-  const double backed =
-      knob.env[0] != '\0' ? common::env_double(knob.env, fallback) : fallback;
-  return parser.get_double_or_fail(knob.flag, backed);
-}
-
 std::string read_string(const common::ArgParser& parser, const EnvFlag& knob,
                         const std::string& fallback) {
   const std::string backed =

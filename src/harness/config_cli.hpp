@@ -38,7 +38,6 @@ std::uint64_t read_u64(const common::ArgParser& parser, const EnvFlag& knob,
 std::uint64_t read_positive_u64(const common::ArgParser& parser, const EnvFlag& knob,
                                 std::uint64_t fallback,
                                 std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-double read_double(const common::ArgParser& parser, const EnvFlag& knob, double fallback);
 std::string read_string(const common::ArgParser& parser, const EnvFlag& knob,
                         const std::string& fallback);
 

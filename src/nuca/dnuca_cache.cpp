@@ -30,12 +30,6 @@ std::uint64_t DnucaStats::total_misses() const {
   return std::accumulate(misses.begin(), misses.end(), std::uint64_t{0});
 }
 
-double DnucaStats::miss_ratio() const {
-  const std::uint64_t total = total_hits() + total_misses();
-  return total == 0 ? 0.0
-                    : static_cast<double>(total_misses()) / static_cast<double>(total);
-}
-
 void export_stats(const DnucaStats& stats, obs::Registry& registry) {
   registry.counter("nuca.hits").set(stats.total_hits());
   registry.counter("nuca.misses").set(stats.total_misses());

@@ -85,7 +85,6 @@ struct DnucaStats {
                                       // (repartition transients)
   std::uint64_t total_hits() const;
   std::uint64_t total_misses() const;
-  double miss_ratio() const;
 };
 
 /// Exports under "nuca.": live hit/miss totals, promotions, demotions,

@@ -74,12 +74,6 @@ bool Json::as_bool() const {
   return bool_;
 }
 
-std::int64_t Json::as_int() const {
-  if (kind_ == Kind::Uint) return static_cast<std::int64_t>(uint_);
-  BACP_ASSERT(kind_ == Kind::Int, "Json value is not an integer");
-  return int_;
-}
-
 std::uint64_t Json::as_uint() const {
   if (kind_ == Kind::Int) {
     BACP_ASSERT(int_ >= 0, "Json integer is negative");

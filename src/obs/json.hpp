@@ -64,7 +64,6 @@ class Json {
   std::size_t size() const;
 
   bool as_bool() const;
-  std::int64_t as_int() const;
   std::uint64_t as_uint() const;
   double as_double() const;  ///< any numeric kind
   const std::string& as_string() const;

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <ostream>
-
 #include "common/assert.hpp"
 #include "common/types.hpp"
 
@@ -15,11 +13,6 @@ void Distribution::observe(double value) {
     if (bin >= kNumBins) bin = kNumBins - 1;
   }
   histogram_.increment(bin);
-}
-
-void Distribution::merge(const Distribution& other) {
-  stats_.merge(other.stats_);
-  histogram_.accumulate(other.histogram_);
 }
 
 void Registry::assert_unclaimed(std::string_view name, const void* owner) const {
@@ -72,11 +65,6 @@ const Gauge* Registry::find_gauge(std::string_view name) const {
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const Distribution* Registry::find_distribution(std::string_view name) const {
-  const auto it = distributions_.find(name);
-  return it == distributions_.end() ? nullptr : &it->second;
-}
-
 std::uint64_t Registry::counter_value(std::string_view name, std::uint64_t fallback) const {
   const Counter* counter = find_counter(name);
   return counter == nullptr ? fallback : counter->value();
@@ -85,24 +73,6 @@ std::uint64_t Registry::counter_value(std::string_view name, std::uint64_t fallb
 double Registry::gauge_value(std::string_view name, double fallback) const {
   const Gauge* gauge = find_gauge(name);
   return gauge == nullptr ? fallback : gauge->value();
-}
-
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  distributions_.clear();
-}
-
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, counter] : other.counters_) {
-    this->counter(name).add(counter.value());
-  }
-  for (const auto& [name, gauge] : other.gauges_) {
-    this->gauge(name).set(gauge.value());
-  }
-  for (const auto& [name, distribution] : other.distributions_) {
-    this->distribution(name).merge(distribution);
-  }
 }
 
 Json Registry::to_json() const {
@@ -135,22 +105,6 @@ Json Registry::to_json() const {
       .set("counters", std::move(counters))
       .set("gauges", std::move(gauges))
       .set("distributions", std::move(distributions));
-}
-
-void Registry::write_csv(std::ostream& os) const {
-  os << "kind,name,count,mean,stddev,min,max\n";
-  for (const auto& [name, counter] : counters_) {
-    os << "counter," << name << ',' << counter.value() << ",,,,\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << "gauge," << name << ",," << Json(gauge.value()).dump() << ",,,\n";
-  }
-  for (const auto& [name, distribution] : distributions_) {
-    os << "distribution," << name << ',' << distribution.count() << ','
-       << Json(distribution.mean()).dump() << ',' << Json(distribution.stddev()).dump()
-       << ',' << Json(distribution.min()).dump() << ','
-       << Json(distribution.max()).dump() << '\n';
-  }
 }
 
 }  // namespace bacp::obs

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -36,9 +35,7 @@ class Gauge {
 };
 
 /// Streaming summary plus a log2-bucketed histogram of observed samples
-/// (queue depths, per-bank request counts, trial ratios). Mergeable across
-/// shards the same way StreamingStats is; merge order must be fixed by the
-/// caller when bit-exact output matters.
+/// (queue depths, per-bank request counts, trial ratios).
 class Distribution {
  public:
   static constexpr std::size_t kNumBins = 64;
@@ -46,7 +43,6 @@ class Distribution {
   Distribution() : histogram_(kNumBins) {}
 
   void observe(double value);
-  void merge(const Distribution& other);
 
   std::uint64_t count() const { return stats_.count(); }
   double mean() const { return stats_.mean(); }
@@ -64,7 +60,7 @@ class Distribution {
 };
 
 /// Named metric store: the backing of sim::SystemResults and of every
-/// JSON/CSV artifact the harness emits. Names are hierarchical by
+/// JSON artifact the harness emits. Names are hierarchical by
 /// convention ("nuca.promotions", "dram.demand_reads"). Lookup creates on
 /// first use; iteration is name-ordered, so serialization is deterministic.
 ///
@@ -74,10 +70,9 @@ class Distribution {
 /// Thread model: thread-COMPATIBLE, not thread-safe — a Registry is owned
 /// by exactly one simulation/trial at a time (sweeps give every variant its
 /// own System and thus its own registries), so it carries no lock and no
-/// BACP_GUARDED_BY annotations on purpose; cross-thread aggregation goes
-/// through merge() on the owning thread after the pool joins. The
-/// mutex-guarded observability class is PhaseTimers (common/mutex.hpp
-/// capabilities, checked by clang -Wthread-safety).
+/// BACP_GUARDED_BY annotations on purpose. The mutex-guarded observability
+/// class is PhaseTimers (common/mutex.hpp capabilities, checked by clang
+/// -Wthread-safety).
 class Registry {
  public:
   Counter& counter(std::string_view name);
@@ -86,7 +81,6 @@ class Registry {
 
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
-  const Distribution* find_distribution(std::string_view name) const;
 
   /// Value lookups for typed accessors; absent names read as the fallback.
   std::uint64_t counter_value(std::string_view name, std::uint64_t fallback = 0) const;
@@ -96,20 +90,11 @@ class Registry {
     return counters_.size() + gauges_.size() + distributions_.size();
   }
   bool empty() const { return size() == 0; }
-  void clear();
-
-  /// Cross-shard aggregation: counters add, distributions merge, gauges
-  /// take the other side's value (last writer wins).
-  void merge(const Registry& other);
 
   /// {"counters": {...}, "gauges": {...}, "distributions": {...}} with
   /// name-sorted members; distributions carry count/mean/stddev/min/max
   /// and the non-empty histogram bins.
   Json to_json() const;
-
-  /// One `kind,name,value` row per counter/gauge plus summary rows per
-  /// distribution; the CSV mirror of to_json().
-  void write_csv(std::ostream& os) const;
 
  private:
   void assert_unclaimed(std::string_view name, const void* owner) const;

@@ -41,10 +41,6 @@ ReportTable& ReportTable::cell(std::uint64_t value) {
   return push(Cell{Json(value), std::to_string(value)});
 }
 
-ReportTable& ReportTable::cell(int value) {
-  return push(Cell{Json(value), std::to_string(value)});
-}
-
 common::Table ReportTable::render() const {
   common::Table table(columns_);
   for (const auto& row : rows_) {
@@ -73,23 +69,6 @@ ReportOptions ReportOptions::from_args(const common::ArgParser& parser) {
   return options;
 }
 
-ReportOptions ReportOptions::extract_from_argv(int& argc, char** argv) {
-  ReportOptions options;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) {
-      options.json_out = arg.substr(std::string("--json-out=").size());
-    } else if (arg.rfind("--csv-out=", 0) == 0) {
-      options.csv_out = arg.substr(std::string("--csv-out=").size());
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return options;
-}
-
 Report::Report(std::string name, std::string title)
     : name_(std::move(name)), title_(std::move(title)) {}
 
@@ -107,12 +86,6 @@ Report& Report::metric(std::string name, double value, int precision) {
 Report& Report::metric(std::string name, std::uint64_t value) {
   std::string text = std::to_string(value);
   metrics_.push_back(Metric{std::move(name), Json(value), std::move(text)});
-  return *this;
-}
-
-Report& Report::metric(std::string name, std::string value) {
-  std::string text = value;
-  metrics_.push_back(Metric{std::move(name), Json(std::move(value)), std::move(text)});
   return *this;
 }
 

@@ -27,7 +27,6 @@ class ReportTable {
   ReportTable& cell(const char* value) { return cell(std::string(value)); }
   ReportTable& cell(double value, int precision = 3);
   ReportTable& cell(std::uint64_t value);
-  ReportTable& cell(int value);
 
   const std::string& name() const { return name_; }
   std::size_t num_rows() const { return rows_.size(); }
@@ -57,11 +56,6 @@ struct ReportOptions {
   std::string csv_out;
 
   static ReportOptions from_args(const common::ArgParser& parser);
-
-  /// For binaries whose argv is owned by another framework (the
-  /// google-benchmark driver): strips `--json-out=<path>` / `--csv-out=<path>`
-  /// out of argv before the framework sees them.
-  static ReportOptions extract_from_argv(int& argc, char** argv);
 };
 
 /// A bench/example result artifact: named tables, headline metrics, meta
@@ -75,7 +69,6 @@ class Report {
   Report& meta(std::string key, std::string value);
   Report& metric(std::string name, double value, int precision = 3);
   Report& metric(std::string name, std::uint64_t value);
-  Report& metric(std::string name, std::string value);
   Report& note(std::string text);
   /// Embeds a raw JSON section at the top level (e.g. a full
   /// SystemResults::to_json() or a TimeSeries).

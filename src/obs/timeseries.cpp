@@ -1,7 +1,5 @@
 #include "obs/timeseries.hpp"
 
-#include <ostream>
-
 #include "common/assert.hpp"
 
 namespace bacp::obs {
@@ -24,10 +22,6 @@ void TimeSeries::record(SeriesHandle series, double value) {
   BACP_ASSERT(samples.size() < epochs_, "series recorded twice in one epoch");
   samples.resize(epochs_ - 1, 0.0);  // back-fill epochs before first record
   samples.push_back(value);
-}
-
-void TimeSeries::record(std::string_view series, double value) {
-  record(intern(series), value);
 }
 
 bool TimeSeries::has_series(std::string_view name) const {
@@ -71,23 +65,6 @@ Json TimeSeries::to_json() const {
   return Json::object()
       .set("epochs", static_cast<std::uint64_t>(epochs_))
       .set("series", std::move(series));
-}
-
-void TimeSeries::write_csv(std::ostream& os) const {
-  os << "epoch";
-  for (const auto& [name, handle] : index_) {
-    if (!columns_[handle].empty()) os << ',' << name;
-  }
-  os << '\n';
-  for (std::size_t epoch = 0; epoch < epochs_; ++epoch) {
-    os << epoch;
-    for (const auto& [name, handle] : index_) {
-      const auto& samples = columns_[handle];
-      if (samples.empty()) continue;
-      os << ',' << Json(epoch < samples.size() ? samples[epoch] : 0.0).dump();
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace bacp::obs

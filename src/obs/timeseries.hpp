@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <span>
 #include <string>
@@ -22,13 +21,12 @@ namespace bacp::obs {
 /// has exactly `num_epochs()` samples. A series first recorded at a later
 /// epoch is back-filled with zeros so columns stay rectangular.
 ///
-/// Recorders on a hot loop intern their series names once and record by
-/// handle — record(handle, v) is an index into a column vector, with no
-/// string building or map lookup per epoch. The string overload remains
-/// for one-off callers and interns on first use. Interned-but-never-
-/// recorded series do not exist as far as the outputs are concerned:
-/// names(), to_json() and write_csv() skip empty columns, so interning
-/// ahead of time never changes the emitted artifacts.
+/// Recorders intern their series names once and record by handle —
+/// record(handle, v) is an index into a column vector, with no string
+/// building or map lookup per epoch. Interned-but-never-recorded series do
+/// not exist as far as the outputs are concerned: names() and to_json()
+/// skip empty columns, so interning ahead of time never changes the
+/// emitted artifacts.
 class TimeSeries {
  public:
   /// Stable index of an interned series. Invalidated by clear().
@@ -43,7 +41,6 @@ class TimeSeries {
   SeriesHandle intern(std::string_view series);
 
   void record(SeriesHandle series, double value);
-  void record(std::string_view series, double value);
 
   std::size_t num_epochs() const { return epochs_; }
   bool has_series(std::string_view name) const;
@@ -57,9 +54,6 @@ class TimeSeries {
 
   /// {"epochs": N, "series": {name: [v0, v1, ...]}} with sorted names.
   Json to_json() const;
-
-  /// Wide CSV: header `epoch,<name>,...`, one row per epoch.
-  void write_csv(std::ostream& os) const;
 
  private:
   friend class audit::ComponentAuditor;

@@ -2,158 +2,10 @@
 
 #include <cmath>
 #include <cstddef>
-#include <fstream>
-#include <sstream>
-#include <utility>
 
 #include "common/assert.hpp"
-#include "common/parse.hpp"
-#include "trace/spec2000.hpp"
 
 namespace bacp::sched {
-
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::Admit: return "admit";
-    case EventKind::Evict: return "evict";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Whitespace tokenizer for one event line (the grammar has no quoting).
-std::vector<std::string_view> split_fields(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') ++pos;
-    if (pos > start) fields.push_back(line.substr(start, pos - start));
-  }
-  return fields;
-}
-
-/// Non-aborting workload lookup (trace::spec2000_index aborts on unknown
-/// names; a parse error must report, not kill the process).
-bool known_workload(std::string_view name) {
-  for (const auto& model : trace::spec2000_suite()) {
-    if (model.name == name) return true;
-  }
-  return false;
-}
-
-std::string positioned(std::size_t line_number, const std::string& message) {
-  return "line " + std::to_string(line_number) + ": " + message;
-}
-
-}  // namespace
-
-EventParseResult parse_events(std::string_view text) {
-  EventParseResult result;
-  std::size_t line_number = 0;
-  std::uint64_t last_epoch = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_number;
-
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    const auto fields = split_fields(line);
-    if (fields.empty()) continue;
-
-    if (fields.size() < 3) {
-      result.error = positioned(line_number, "expected '<epoch> <kind> <tenant-id> ...'");
-      return result;
-    }
-    const auto epoch = common::parse_u64(fields[0]);
-    if (!epoch) {
-      result.error = positioned(
-          line_number, "bad epoch '" + std::string(fields[0]) + "': " + epoch.error);
-      return result;
-    }
-    if (*epoch < last_epoch) {
-      result.error = positioned(
-          line_number, "epoch " + std::to_string(*epoch) +
-                           " regresses (previous event at epoch " +
-                           std::to_string(last_epoch) + ")");
-      return result;
-    }
-    const auto tenant = common::parse_u64(fields[2]);
-    if (!tenant) {
-      result.error = positioned(
-          line_number, "bad tenant id '" + std::string(fields[2]) + "': " + tenant.error);
-      return result;
-    }
-
-    Event event;
-    event.epoch = *epoch;
-    event.tenant = *tenant;
-    if (fields[1] == "admit") {
-      event.kind = EventKind::Admit;
-      if (fields.size() != 4) {
-        result.error =
-            positioned(line_number, "admit takes exactly '<epoch> admit <tenant-id> <workload>'");
-        return result;
-      }
-      if (!known_workload(fields[3])) {
-        result.error = positioned(
-            line_number, "unknown workload '" + std::string(fields[3]) + "'");
-        return result;
-      }
-      event.workload = std::string(fields[3]);
-    } else if (fields[1] == "evict") {
-      event.kind = EventKind::Evict;
-      if (fields.size() != 3) {
-        result.error = positioned(line_number, "evict takes exactly '<epoch> evict <tenant-id>'");
-        return result;
-      }
-    } else {
-      result.error = positioned(
-          line_number, "unknown event kind '" + std::string(fields[1]) +
-                           "' (expected 'admit' or 'evict')");
-      return result;
-    }
-    last_epoch = *epoch;
-    result.events.push_back(std::move(event));
-  }
-  return result;
-}
-
-EventParseResult parse_events_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    EventParseResult result;
-    result.error = "cannot read '" + path + "'";
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_events(buffer.str());
-}
-
-std::string format_events(const std::vector<Event>& events) {
-  std::string out;
-  for (const Event& event : events) {
-    out += std::to_string(event.epoch);
-    out += ' ';
-    out += to_string(event.kind);
-    out += ' ';
-    out += std::to_string(event.tenant);
-    if (event.kind == EventKind::Admit) {
-      out += ' ';
-      out += event.workload;
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 namespace {
 

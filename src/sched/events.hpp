@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,7 +14,6 @@ enum class EventKind : std::uint8_t {
   Admit,  ///< a tenant arrives and claims a free core slot
   Evict,  ///< a live tenant departs and frees its slot
 };
-const char* to_string(EventKind kind);
 
 struct Event {
   std::uint64_t epoch = 0;
@@ -23,29 +21,6 @@ struct Event {
   std::uint64_t tenant = 0;   ///< stable tenant id (ids may be reused after evict)
   std::string workload;       ///< spec2000 benchmark name; admits only
 };
-
-/// Strict parse of a churn event file. Grammar, one event per line:
-///   <epoch> admit <tenant-id> <workload>
-///   <epoch> evict <tenant-id>
-/// '#' starts a comment; blank lines are skipped. Events must be sorted by
-/// epoch (ties keep file order). Malformed numbers, unknown kinds, missing
-/// or extra fields, unknown workload names and epoch regressions all fail
-/// with a positioned "line N: ..." message — never a silently dropped or
-/// repaired event (the artifact would mislabel the whole run).
-struct EventParseResult {
-  std::vector<Event> events;
-  std::string error;  ///< "" iff parse succeeded
-
-  bool ok() const { return error.empty(); }
-};
-EventParseResult parse_events(std::string_view text);
-
-/// parse_events() over a file's contents; unreadable files report through
-/// the same error channel ("cannot read ...").
-EventParseResult parse_events_file(const std::string& path);
-
-/// Serializes events back to the parse_events() grammar (round-trips).
-std::string format_events(const std::vector<Event>& events);
 
 /// Deterministic synthetic churn for the service benchmarks: Poisson
 /// arrivals whose rate follows a diurnal (sinusoidal) curve, uniformly

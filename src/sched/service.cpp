@@ -1,7 +1,6 @@
 #include "sched/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #ifdef BACP_AUDIT
@@ -24,32 +23,6 @@ void ServiceConfig::finalize() {
   BACP_ASSERT(light_ways <= system.geometry.max_assignable_ways() &&
                   streaming_ways <= system.geometry.max_assignable_ways(),
               "class budgets exceed the assignable capacity");
-}
-
-// Fingerprint completeness (same contract as sim::config_digest): every
-// ServiceConfig field is folded below; these checks turn "added a field but
-// not a digest line" into a compile error.
-static_assert(sizeof(ClassifierConfig) == 16, "extend service_digest()");
-static_assert(sizeof(ServiceConfig) == 184, "extend service_digest()");
-
-std::uint64_t service_digest(const ServiceConfig& config, const trace::WorkloadMix& mix) {
-  // FNV-1a fold over the sim digest and the sched-layer fields, each
-  // widened to u64 (doubles as raw bit patterns).
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  const auto fold = [&hash](std::uint64_t value) {
-    for (unsigned shift = 0; shift < 64; shift += 8) {
-      hash ^= (value >> shift) & 0xFF;
-      hash *= 0x00000100000001B3ull;
-    }
-  };
-  fold(sim::config_digest(config.system, mix));
-  fold(std::bit_cast<std::uint64_t>(config.classifier.light_max_intensity));
-  fold(std::bit_cast<std::uint64_t>(config.classifier.streaming_min_flatness));
-  fold(config.warmup_instructions);
-  fold(config.profile_warm_epochs);
-  fold(config.light_ways);
-  fold(config.streaming_ways);
-  return hash;
 }
 
 namespace {
@@ -282,122 +255,6 @@ obs::Json Service::tenant_report() const {
   }
   report.set("tenants", std::move(tenants));
   return report;
-}
-
-snapshot::SystemSnapshot Service::save_state() const {
-  snapshot::SnapshotBuilder builder(service_digest(config_, substrate_mix_));
-  system_.save_into(builder);
-  auto writer = builder.begin_section(snapshot::SectionId::Sched);
-  writer.u64(epoch_);
-  writer.u64(next_salt_);
-  writer.u64(admissions_);
-  writer.u64(evictions_);
-  writer.u64(replans_);
-  writer.u64(class_changes_);
-  // Per-slot workload bindings (idle slots keep their last tenant's
-  // binding): restore replays reset_core() over every slot so the timers'
-  // unserialized gap-model parameters are rebuilt before the bit-exact
-  // component restore.
-  {
-    const CoreId num_cores = config_.system.geometry.num_cores;
-    std::vector<std::size_t> bound(num_cores);
-    for (CoreId core = 0; core < num_cores; ++core) bound[core] = system_.bound_workload(core);
-    writer.scalars(std::span<const std::size_t>(bound));
-  }
-  writer.u64(tenants_.size());
-  for (const auto& [id, tenant] : tenants_) {
-    writer.u64(tenant.id);
-    writer.u32(tenant.slot);
-    writer.u64(tenant.workload);
-    writer.u8(static_cast<std::uint8_t>(tenant.cls));
-    writer.u64(tenant.admitted_epoch);
-    writer.u64(tenant.live_epochs);
-    writer.u64(tenant.stream_salt);
-    writer.u32(tenant.ways);
-    writer.f64(tenant.decayed_instructions);
-  }
-  writer.u64(series_.size());
-  for (const auto& [id, series] : series_) {
-    writer.u64(id);
-    const auto column = [&writer](const std::vector<double>& values) {
-      writer.u64(values.size());
-      for (const double value : values) writer.f64(value);
-    };
-    column(series.epoch);
-    column(series.cpi);
-    column(series.miss_ratio);
-    column(series.ways);
-    column(series.slot);
-  }
-  return builder.finish();
-}
-
-void Service::restore_state(const snapshot::SystemSnapshot& snapshot) {
-  const snapshot::SnapshotView view(snapshot);
-  BACP_ASSERT(view.config_digest() == service_digest(config_, substrate_mix_),
-              "snapshot belongs to a different (service config, mix)");
-  auto reader = view.section(snapshot::SectionId::Sched);
-  epoch_ = reader.u64();
-  next_salt_ = reader.u64();
-  admissions_ = reader.u64();
-  evictions_ = reader.u64();
-  replans_ = reader.u64();
-  class_changes_ = reader.u64();
-
-  const CoreId num_cores = config_.system.geometry.num_cores;
-  std::vector<std::size_t> bound(num_cores);
-  reader.scalars_into(std::span<std::size_t>(bound));
-  tenants_.clear();
-  slot_tenant_.assign(num_cores, kNoTenant);
-  const std::uint64_t live = reader.u64();
-  for (std::uint64_t i = 0; i < live; ++i) {
-    TenantState tenant;
-    tenant.id = reader.u64();
-    tenant.slot = reader.u32();
-    tenant.workload = reader.u64();
-    tenant.cls = static_cast<TenantClass>(reader.u8());
-    tenant.admitted_epoch = reader.u64();
-    tenant.live_epochs = reader.u64();
-    tenant.stream_salt = reader.u64();
-    tenant.ways = reader.u32();
-    tenant.decayed_instructions = reader.f64();
-    BACP_ASSERT(tenant.slot < num_cores, "snapshot tenant slot out of range");
-    BACP_ASSERT(slot_tenant_[tenant.slot] == kNoTenant, "snapshot slot double-booked");
-    slot_tenant_[tenant.slot] = tenant.id;
-    tenants_.emplace(tenant.id, tenant);
-  }
-
-  series_.clear();
-  const std::uint64_t num_series = reader.u64();
-  for (std::uint64_t i = 0; i < num_series; ++i) {
-    const std::uint64_t id = reader.u64();
-    TenantSeries series;
-    const auto column = [&reader](std::vector<double>& values) {
-      const std::uint64_t count = reader.u64();
-      values.resize(static_cast<std::size_t>(count));
-      for (double& value : values) value = reader.f64();
-    };
-    column(series.epoch);
-    column(series.cpi);
-    column(series.miss_ratio);
-    column(series.ways);
-    column(series.slot);
-    series_.emplace(id, std::move(series));
-  }
-
-  // Replay every slot's workload binding (timer gap-model parameters are
-  // not serialized — see System::restore_from), then restore the component
-  // state bit-exactly over the rebound slots. The replay salt is
-  // irrelevant: every RNG stream, clock and footprint the replay seeds is
-  // overwritten by the restore; only the rebuilt timer configs survive.
-  const auto& suite = trace::spec2000_suite();
-  for (CoreId core = 0; core < num_cores; ++core) {
-    system_.set_core_active(core, false);
-    system_.reset_core(core, suite.at(bound.at(core)).name, 0);
-  }
-  for (const auto& [id, tenant] : tenants_) system_.set_core_active(tenant.slot, true);
-  system_.restore_from(view);
-  audit_checkpoint("restore_state");
 }
 
 void Service::audit_checkpoint(const char* where) const {

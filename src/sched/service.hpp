@@ -11,7 +11,6 @@
 #include "sched/classifier.hpp"
 #include "sched/events.hpp"
 #include "sim/system.hpp"
-#include "snapshot/snapshot.hpp"
 #include "trace/mix.hpp"
 
 namespace bacp::sched {
@@ -50,13 +49,6 @@ struct ServiceConfig {
   void finalize();
 };
 
-/// Fingerprint over every ServiceConfig field (via sim::config_digest for
-/// the nested system config) plus the substrate mix: two services resume
-/// from each other's snapshots iff their digests match. The sizeof
-/// static_asserts in service.cpp force this to be extended alongside the
-/// struct.
-std::uint64_t service_digest(const ServiceConfig& config, const trace::WorkloadMix& mix);
-
 /// The tenant-churn admission spec.
 struct Tenant {
   std::uint64_t id = 0;
@@ -70,11 +62,9 @@ struct Tenant {
 /// departure and classifier-detected class change triggers a bank-aware
 /// repartition over class-shaped miss-ratio curves — no tenant is ever
 /// re-profiled from scratch, newcomers plan from analytic priors until
-/// their live MSA profile warms. The service keeps the simulator at a
-/// statistics-clean point every epoch (it harvests per-epoch deltas into
+/// their live MSA profile warms. The service harvests per-epoch deltas into
 /// per-tenant series keyed by *tenant id*, with the core slot recorded as a
-/// label), so a mid-churn checkpoint is always legal and resumes
-/// bit-identically.
+/// label, and re-arms the measurement window every epoch.
 ///
 /// Thread model: thread-COMPATIBLE — one Service owns one sim::System and
 /// is driven from a single thread (bench_sched_churn runs one Service per
@@ -149,20 +139,6 @@ class Service {
   /// identical (config, events, seed) regardless of thread count.
   obs::Json tenant_report() const;
 
-  // --- Checkpoint/resume ------------------------------------------------
-
-  /// Serializes the full mid-churn state — the wrapped system's sections
-  /// plus the scheduler's tenant table, clocks and series — stamped with
-  /// service_digest(). Legal at any epoch edge or admission/eviction
-  /// boundary (the service keeps the system statistics-clean there).
-  snapshot::SystemSnapshot save_state() const;
-
-  /// Exact inverse of save_state() on a service built with the same
-  /// (config, substrate_mix): replays every live tenant's slot binding,
-  /// restores the system bit-exactly, and resumes — subsequent epochs are
-  /// byte-identical to the saving service's future.
-  void restore_state(const snapshot::SystemSnapshot& snapshot);
-
  private:
   friend class ServiceAuditor;
   friend struct ServiceTestPeer;  ///< mutation hooks for the audit kill-tests
@@ -206,7 +182,6 @@ class Service {
   trace::WorkloadMix substrate_mix_;
   sim::System system_;
   std::map<std::uint64_t, TenantState> tenants_;  ///< live only, id-ordered
-  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from the tenant table; rebuilt (and double-booking asserted) on restore
   std::vector<std::uint64_t> slot_tenant_;        ///< per core: id or kNoTenant
   std::map<std::uint64_t, TenantSeries> series_;  ///< retained after eviction
   std::uint64_t epoch_ = 0;

@@ -646,7 +646,7 @@ std::vector<System::CoreSample> System::sample_cores() const {
   return samples;
 }
 
-void System::save_into(snapshot::SnapshotBuilder& builder) const {
+snapshot::SystemSnapshot System::save_state() const {
   // Snapshots are only meaningful at statistics-clean points (right after
   // construction, warm_up() or reset_measurement()): epoch tracking, series
   // handles and core snapshots are all in their reset state there, so
@@ -656,6 +656,7 @@ void System::save_into(snapshot::SnapshotBuilder& builder) const {
   for (const auto& core_snapshot : snapshots_) {
     BACP_ASSERT(!core_snapshot.taken, "save_state requires a statistics-clean system");
   }
+  snapshot::SnapshotBuilder builder(config_digest(config_, mix_));
   {
     auto writer = builder.begin_section(snapshot::SectionId::SystemMeta);
     writer.scalars(std::span<const std::size_t>(mix_.workload_indices));
@@ -706,15 +707,13 @@ void System::save_into(snapshot::SnapshotBuilder& builder) const {
     auto writer = builder.begin_section(snapshot::SectionId::Timers);
     for (const auto& timer : timers_) timer->save_state(writer);
   }
-}
-
-snapshot::SystemSnapshot System::save_state() const {
-  snapshot::SnapshotBuilder builder(config_digest(config_, mix_));
-  save_into(builder);
   return builder.finish();
 }
 
-void System::restore_from(const snapshot::SnapshotView& view) {
+void System::restore_state(const snapshot::SystemSnapshot& snapshot) {
+  const snapshot::SnapshotView view(snapshot);
+  BACP_ASSERT(view.config_digest() == config_digest(config_, mix_),
+              "snapshot belongs to a different (config, mix)");
   {
     auto reader = view.section(snapshot::SectionId::Noc);
     noc_.restore_state(reader);
@@ -768,15 +767,15 @@ void System::restore_from(const snapshot::SnapshotView& view) {
   next_epoch_ = reader.u64();
   reader.scalars_into(std::span<std::uint8_t>(active_));
   reader.scalars_into(std::span<std::size_t>(bound_workloads_));
-  // Timer/generator *workload* parameters are not serialized — the embedder
-  // must have replayed reset_core() for every slot whose binding moved off
-  // the construction mix, or the restored clocks would run under the wrong
-  // gap model. Generators re-resolve their model by name on restore, so the
-  // check pins the timers.
+  // Timer/generator *workload* parameters are not serialized — a slot whose
+  // binding moved off the construction mix must have been rebound with
+  // reset_core() before the restore, or the restored clock would run under
+  // the wrong gap model. Generators re-resolve their model by name on
+  // restore, so the check pins the timers.
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
     const auto& model = trace::spec2000_suite().at(bound_workloads_[core]);
     BACP_ASSERT(timers_[core]->config().base_cpi == model.base_cpi,
-                "restore_from: core binding not replayed before restore");
+                "restore_state: core binding not replayed before restore");
   }
   // The saving system was statistics-clean (save_state asserts it), so the
   // derived tracking state rebuilds deterministically from component state —
@@ -785,13 +784,6 @@ void System::restore_from(const snapshot::SnapshotView& view) {
   epochs_ = 0;
   reset_epoch_tracking();
   audit_checkpoint("restore_state");
-}
-
-void System::restore_state(const snapshot::SystemSnapshot& snapshot) {
-  const snapshot::SnapshotView view(snapshot);
-  BACP_ASSERT(view.config_digest() == config_digest(config_, mix_),
-              "snapshot belongs to a different (config, mix)");
-  restore_from(view);
 }
 
 SystemResults System::results() const {

@@ -260,17 +260,6 @@ class System {
   /// produced.
   void restore_state(const snapshot::SystemSnapshot& snapshot);
 
-  /// Composable halves of save_state()/restore_state() for embedders
-  /// (sched::Service) that wrap the system sections in a larger snapshot:
-  /// save_into() appends sections SystemMeta..Timers to `builder` (same
-  /// statistics-clean precondition as save_state()); restore_from() rebuilds
-  /// the components from `view` without checking the stamp — the embedder
-  /// owns the digest, and must have rebound every core (reset_core) to the
-  /// binding live at save time, since generator/timer configs are restored
-  /// by replay, not serialized.
-  void save_into(snapshot::SnapshotBuilder& builder) const;
-  void restore_from(const snapshot::SnapshotView& view);
-
  private:
   /// Per-core statistics frozen at quota completion (cores run on past
   /// their quota to keep interference alive until the slowest finishes).

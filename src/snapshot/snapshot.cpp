@@ -17,7 +17,6 @@ const char* to_string(SectionId id) {
     case SectionId::Generators: return "generators";
     case SectionId::Profilers: return "profilers";
     case SectionId::Timers: return "timers";
-    case SectionId::Sched: return "sched";
   }
   return "?";
 }

@@ -21,7 +21,6 @@ enum class SectionId : std::uint32_t {
   Generators = 7,  ///< all per-core trace generators, core order
   Profilers = 8,   ///< all per-core MSA profilers, core order
   Timers = 9,      ///< all per-core timers, core order
-  Sched = 10,      ///< sched::Service tenant table and scheduler clocks
 };
 
 const char* to_string(SectionId id);

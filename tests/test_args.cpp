@@ -9,7 +9,6 @@ ArgParser make_parser() {
   return ArgParser({{"trials=", "number of trials"},
                     {"policy=", "policy name"},
                     {"scale=", "scale factor"},
-                    {"delta=", "signed adjustment"},
                     {"strict=", "boolean knob"},
                     {"verbose", "chatty output"}});
 }
@@ -75,20 +74,15 @@ TEST(ArgParser, ValueOnBooleanFails) {
 TEST(ArgParser, AbsentFlagUsesFallback) {
   auto parser = parsed({});
   EXPECT_EQ(parser.get_u64_or_fail("trials", 9), 9u);
-  EXPECT_EQ(parser.get_i64_or_fail("delta", -3), -3);
   EXPECT_DOUBLE_EQ(parser.get_double_or_fail("scale", 1.25), 1.25);
   EXPECT_TRUE(parser.get_bool_or_fail("strict", true));
 }
 
 TEST(ArgParser, StrictTypedAccess) {
-  auto parser =
-      parsed({"--trials=42", "--delta=-3", "--scale=1.5", "--strict=false"});
+  auto parser = parsed({"--trials=42", "--scale=1.5", "--strict=false"});
   EXPECT_EQ(parser.get_u64_or_fail("trials", 0), 42u);
-  EXPECT_EQ(parser.get_i64_or_fail("delta", 0), -3);
   EXPECT_DOUBLE_EQ(parser.get_double_or_fail("scale", 0.0), 1.5);
   EXPECT_FALSE(parser.get_bool_or_fail("strict", true));
-  EXPECT_EQ(parser.require_u64("trials"), 42u);
-  EXPECT_DOUBLE_EQ(parser.require_double("scale"), 1.5);
   EXPECT_EQ(parser.require_string("strict"), "false");
 }
 
@@ -134,24 +128,10 @@ TEST(ArgParserDeath, MalformedBoolNamesFlag) {
               "invalid value 'maybe' for --strict");
 }
 
-TEST(ArgParserDeath, MalformedSignedNamesFlag) {
-  auto parser = parsed({"--delta=--2"});
-  EXPECT_EXIT(parser.get_i64_or_fail("delta", 0), ::testing::ExitedWithCode(2),
-              "invalid value '--2' for --delta");
-}
-
 TEST(ArgParserDeath, RequireMissingFlagFails) {
   auto parser = parsed({});
-  EXPECT_EXIT(parser.require_u64("trials"), ::testing::ExitedWithCode(2),
-              "missing required flag --trials");
   EXPECT_EXIT(parser.require_string("policy"), ::testing::ExitedWithCode(2),
               "missing required flag --policy");
-}
-
-TEST(ArgParserDeath, RequireMalformedFlagFails) {
-  auto parser = parsed({"--trials=1e3"});
-  EXPECT_EXIT(parser.require_u64("trials"), ::testing::ExitedWithCode(2),
-              "invalid value '1e3' for --trials");
 }
 
 TEST(ArgParserDeath, FatalMessageIncludesUsageText) {

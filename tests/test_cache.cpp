@@ -69,13 +69,14 @@ TEST(SetAssocCache, MarkDirtyWithoutLruPerturbation) {
   SetAssocCache cache(tiny(2, 4, 1));
   cache.fill(block_in(0, 1), 0, false);
   cache.fill(block_in(0, 2), 0, false);
-  // block 1 is LRU; mark_dirty must not move it to MRU.
-  EXPECT_TRUE(cache.mark_dirty(block_in(0, 1)));
+  // block 1 is LRU; mark_dirty_at must not move it to MRU.
+  const WayIndex way = cache.holds_at(block_in(0, 1), 0) ? 0 : 1;
+  ASSERT_TRUE(cache.holds_at(block_in(0, 1), way));
+  cache.mark_dirty_at(block_in(0, 1), way);
   const auto result = cache.fill(block_in(0, 3), 0, false);
   ASSERT_TRUE(result.evicted.has_value());
   EXPECT_EQ(result.evicted->block, block_in(0, 1));
   EXPECT_TRUE(result.evicted->dirty);
-  EXPECT_FALSE(cache.mark_dirty(block_in(0, 99)));
 }
 
 TEST(SetAssocCache, ProbeDoesNotTouchLru) {

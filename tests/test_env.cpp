@@ -21,8 +21,6 @@ std::string captured_stderr(Body body) {
 TEST(Env, MissingVariableUsesFallback) {
   ::unsetenv("BACP_TEST_MISSING");
   EXPECT_EQ(env_u64("BACP_TEST_MISSING", 42), 42u);
-  EXPECT_DOUBLE_EQ(env_double("BACP_TEST_MISSING", 1.5), 1.5);
-  EXPECT_TRUE(env_bool("BACP_TEST_MISSING", true));
   EXPECT_EQ(env_string("BACP_TEST_MISSING", "x"), "x");
 }
 
@@ -71,40 +69,6 @@ TEST(Env, OverflowU64WarnsAndFallsBack) {
   EXPECT_EQ(value, 5u);
   EXPECT_NE(warning.find("out of range"), std::string::npos) << warning;
   ::unsetenv("BACP_TEST_OVF");
-}
-
-TEST(Env, ParsesValidDouble) {
-  ::setenv("BACP_TEST_DBL", "2.75", 1);
-  EXPECT_DOUBLE_EQ(env_double("BACP_TEST_DBL", 0.0), 2.75);
-  ::unsetenv("BACP_TEST_DBL");
-}
-
-TEST(Env, MalformedDoubleWarnsAndFallsBack) {
-  ::setenv("BACP_TEST_DBL2", "x1.5", 1);
-  double value = 0.0;
-  const auto warning =
-      captured_stderr([&] { value = env_double("BACP_TEST_DBL2", 3.0); });
-  EXPECT_DOUBLE_EQ(value, 3.0);
-  EXPECT_NE(warning.find("BACP_TEST_DBL2"), std::string::npos) << warning;
-  ::unsetenv("BACP_TEST_DBL2");
-}
-
-TEST(Env, ParsesValidBool) {
-  ::setenv("BACP_TEST_BOOL", "true", 1);
-  EXPECT_TRUE(env_bool("BACP_TEST_BOOL", false));
-  ::setenv("BACP_TEST_BOOL", "off", 1);
-  EXPECT_FALSE(env_bool("BACP_TEST_BOOL", true));
-  ::unsetenv("BACP_TEST_BOOL");
-}
-
-TEST(Env, MalformedBoolWarnsAndFallsBack) {
-  ::setenv("BACP_TEST_BOOL2", "maybe", 1);
-  bool value = false;
-  const auto warning =
-      captured_stderr([&] { value = env_bool("BACP_TEST_BOOL2", true); });
-  EXPECT_TRUE(value);
-  EXPECT_NE(warning.find("BACP_TEST_BOOL2"), std::string::npos) << warning;
-  ::unsetenv("BACP_TEST_BOOL2");
 }
 
 TEST(Env, StringPassThrough) {

@@ -56,41 +56,6 @@ TEST(ParseU64, Table) {
   }
 }
 
-struct I64Case {
-  const char* text;
-  bool ok;
-  std::int64_t value;
-  const char* error_contains;
-};
-
-TEST(ParseI64, Table) {
-  const std::vector<I64Case> cases = {
-      {"0", true, 0, ""},
-      {"-1", true, -1, ""},
-      {"42", true, 42, ""},
-      {"9223372036854775807", true, std::numeric_limits<std::int64_t>::max(), ""},
-      {"-9223372036854775808", true, std::numeric_limits<std::int64_t>::min(), ""},
-      {"", false, 0, "empty"},
-      {"9223372036854775808", false, 0, "out of range"},
-      {"-9223372036854775809", false, 0, "out of range"},
-      {"+1", false, 0, "leading '+'"},
-      {"--2", false, 0, "not a number"},
-      {"-", false, 0, "not a number"},
-      {"1_000", false, 0, "trailing"},
-      {"x", false, 0, "not a number"},
-  };
-  for (const auto& c : cases) {
-    const auto result = parse_i64(c.text);
-    EXPECT_EQ(result.ok(), c.ok) << "input: '" << c.text << "'";
-    if (c.ok && result.ok()) {
-      EXPECT_EQ(*result, c.value) << "input: '" << c.text << "'";
-    } else if (!c.ok && !result.ok()) {
-      EXPECT_NE(result.error.find(c.error_contains), std::string::npos)
-          << "input: '" << c.text << "' error: " << result.error;
-    }
-  }
-}
-
 struct DoubleCase {
   const char* text;
   bool ok;

@@ -36,36 +36,6 @@ TEST(StreamingStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(StreamingStats, MergeMatchesConcatenation) {
-  Rng rng(3);
-  std::vector<double> all;
-  StreamingStats left, right, merged_reference;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.next_double() * 10.0;
-    all.push_back(x);
-    (i < 200 ? left : right).add(x);
-    merged_reference.add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), merged_reference.count());
-  EXPECT_NEAR(left.mean(), merged_reference.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), merged_reference.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), merged_reference.min());
-  EXPECT_DOUBLE_EQ(left.max(), merged_reference.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(GeometricMean, KnownValues) {
   const double v1[] = {4.0, 9.0};
   EXPECT_NEAR(geometric_mean(v1), 6.0, 1e-12);
@@ -139,35 +109,6 @@ TEST(Percentile, NearlyHundredStaysInRange) {
   EXPECT_GT(near_max, 15.0);
   EXPECT_LE(near_max, 16.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100.0), 16.0);
-}
-
-TEST(GuardedGeomean, CleanInputMatchesStrictGeomean) {
-  const double v[] = {4.0, 9.0, 6.0};
-  const GuardedGeomean g = guarded_geometric_mean(v);
-  EXPECT_TRUE(g.clean());
-  EXPECT_EQ(g.count, 3u);
-  EXPECT_EQ(g.clamped, 0u);
-  EXPECT_DOUBLE_EQ(g.value, geometric_mean(v));
-  EXPECT_EQ(g.warning(1e-12), "");
-}
-
-TEST(GuardedGeomean, ClampsZerosToEpsilonAndCountsThem) {
-  const double v[] = {0.0, 4.0};
-  const GuardedGeomean g = guarded_geometric_mean(v, /*epsilon=*/1e-6);
-  EXPECT_FALSE(g.clean());
-  EXPECT_EQ(g.count, 2u);
-  EXPECT_EQ(g.clamped, 1u);
-  // geomean(1e-6, 4) = sqrt(4e-6) = 2e-3: the zero drags hard but finitely.
-  EXPECT_NEAR(g.value, 2e-3, 1e-15);
-  EXPECT_EQ(g.warning(1e-6),
-            "geometric mean clamped 1 of 2 non-positive value(s) up to 1e-06");
-}
-
-TEST(GuardedGeomean, NegativesClampLikeZeros) {
-  const double v[] = {-3.0, 0.0, 1.0, 1.0};
-  const GuardedGeomean g = guarded_geometric_mean(v, /*epsilon=*/1e-4);
-  EXPECT_EQ(g.clamped, 2u);
-  EXPECT_NEAR(g.value, std::pow(1e-8, 0.25), 1e-12);
 }
 
 TEST(WeightedMeanCi, HandComputedCase) {
