@@ -21,7 +21,8 @@
 #   scripts/lint.sh --require-tools # missing bacp-analyze/clang-tidy/
 #                                   # shellcheck is an error (CI mode)
 #
-# The analyzer binary is searched in build*/tools/bacp-analyze/; override
+# The analyzer binary is searched in build/tools/bacp-analyze/ (a plain
+# `cmake -B build`) and build/*/tools/bacp-analyze/ (the presets); override
 # with BACP_ANALYZE=/path/to/bacp-analyze.
 #
 # Exit status: 0 clean, 1 findings (or missing tools with --require-tools).
@@ -45,7 +46,8 @@ cxx_dirs=(src bench examples tests)
 # --- Layer 1: bacp-analyze (AST) -------------------------------------------
 
 analyzer=""
-for candidate in "${BACP_ANALYZE:-}" build/*/tools/bacp-analyze/bacp-analyze; do
+for candidate in "${BACP_ANALYZE:-}" build/tools/bacp-analyze/bacp-analyze \
+                 build/*/tools/bacp-analyze/bacp-analyze; do
   if [[ -n "${candidate}" && -x "${candidate}" ]]; then
     analyzer="${candidate}"
     break
@@ -120,10 +122,12 @@ if [[ "${ast_ran}" -eq 0 ]]; then
     --exclude=parse.cpp
 
   # NOLINT hygiene fallback (bacp-nolint-reason): a marker must name its
-  # check ids and carry a ": reason" suffix; bare markers suppress nothing.
+  # check ids (separated by "," or ", ") and carry a ": reason" suffix; bare
+  # markers suppress nothing.
   bare_nolint="$(grep -rnE --include='*.cpp' --include='*.hpp' \
                    -e 'NOLINT' "${cxx_dirs[@]}" \
-                 | grep -vE 'NOLINT(NEXTLINE)?\([a-zA-Z0-9_,-]+\): [^ ]' || true)"
+                 | grep -vE 'NOLINT(NEXTLINE)?\([a-zA-Z0-9_-]+(, ?[a-zA-Z0-9_-]+)*\): [^ ]' \
+                 || true)"
   if [[ -n "${bare_nolint}" ]]; then
     echo "lint[grep-fallback]: NOLINT without '(check-id): reason' (bacp-nolint-reason)" >&2
     sed 's/^/lint[grep-fallback]: /' <<< "${bare_nolint}" >&2
