@@ -406,15 +406,11 @@ void check_snapshot_fields(const CodeModel& model, bool explicit_files,
     for (const ClassInfo& info : infos) {
       if (!explicit_files && !in_scope(info.file->rel, Scope::kSrcOnly))
         continue;
-      const bool has_save =
-          info.has_method("save_state") || info.has_method("save_into");
-      const bool has_restore =
-          info.has_method("restore_state") || info.has_method("restore_from");
-      if (!has_save || !has_restore) continue;
+      if (!info.has_method("save_state") || !info.has_method("restore_state")) continue;
       const std::set<std::string> save_ids =
-          reachable_identifiers(model, info, {"save_state", "save_into"});
-      const std::set<std::string> restore_ids = reachable_identifiers(
-          model, info, {"restore_state", "restore_from"});
+          reachable_identifiers(model, info, {"save_state"});
+      const std::set<std::string> restore_ids =
+          reachable_identifiers(model, info, {"restore_state"});
       for (const MemberVar& member : info.members) {
         const bool saved = save_ids.count(member.name) != 0;
         const bool restored = restore_ids.count(member.name) != 0;
