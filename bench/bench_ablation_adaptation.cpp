@@ -17,8 +17,7 @@
 // and with or without a --snapshot-bank.
 //
 // Flags: --instr (per phase), --epoch, --threads, --snapshot-bank,
-// --json-out, --csv-out (legacy env knobs BACP_SIM_INSTR, BACP_SIM_EPOCH,
-// BACP_THREADS, BACP_SNAPSHOT_BANK still work).
+// --json-out.
 
 #include <iostream>
 #include <vector>
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t phase_instructions =
       harness::read_u64(parser, harness::kInstrKnob, 8'000'000);
-  const Cycle epoch = harness::read_u64(parser, harness::kEpochKnob, 1'500'000);
+  const Cycle epoch = harness::read_positive_u64(parser, harness::kEpochKnob, 1'500'000);
   const auto sweep_options = harness::SweepOptions::from_args(parser);
 
   const auto mix = trace::mix_from_names(

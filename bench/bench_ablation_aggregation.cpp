@@ -11,9 +11,7 @@
 // are emitted in sweep order, so the artifact is byte-identical for any
 // --threads value, and with or without a --snapshot-bank.
 //
-// Flags: --warmup, --instr, --seed, --threads, --snapshot-bank, --json-out,
-// --csv-out (legacy env knobs BACP_SIM_{WARMUP,INSTR,SEED}, BACP_THREADS and
-// BACP_SNAPSHOT_BANK still work).
+// Flags: --warmup, --instr, --seed, --threads, --snapshot-bank, --json-out.
 
 #include <iostream>
 #include <vector>

@@ -7,9 +7,7 @@
 // rows are emitted in sweep order, so the artifact is byte-identical for any
 // --threads value, and with or without a --snapshot-bank.
 //
-// Flags: --instr, --seed, --threads, --snapshot-bank, --json-out, --csv-out
-// (legacy env knobs BACP_SIM_INSTR, BACP_SIM_SEED, BACP_THREADS,
-// BACP_SNAPSHOT_BANK still work).
+// Flags: --instr, --seed, --threads, --snapshot-bank, --json-out.
 
 #include <iostream>
 #include <vector>

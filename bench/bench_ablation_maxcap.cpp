@@ -5,8 +5,7 @@
 // running the Unrestricted allocator with different per-core caps over the
 // Monte-Carlo mix distribution and compare against Bank-aware.
 //
-// Flags: --trials, --seed, --json-out, --csv-out (legacy env knobs
-// BACP_MC_TRIALS, BACP_MC_SEED still work).
+// Flags: --trials, --seed, --json-out.
 
 #include <iostream>
 
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::size_t trials =
-      static_cast<std::size_t>(harness::read_u64(parser, harness::kTrialsKnob, 400));
+      static_cast<std::size_t>(harness::read_positive_u64(parser, harness::kTrialsKnob, 400));
   const std::uint64_t seed = harness::read_u64(parser, harness::kMcSeedKnob, 2009);
 
   partition::CmpGeometry geometry;

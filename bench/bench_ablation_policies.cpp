@@ -10,8 +10,7 @@
 // Reported: mean total projected misses vs fixed share, and the mean
 // max-min spread of per-core miss ratios (the fairness metric).
 //
-// Flags: --trials, --seed, --json-out, --csv-out (legacy env knobs
-// BACP_MC_TRIALS, BACP_MC_SEED still work).
+// Flags: --trials, --seed, --json-out.
 
 #include <iostream>
 
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::size_t trials =
-      static_cast<std::size_t>(harness::read_u64(parser, harness::kTrialsKnob, 300));
+      static_cast<std::size_t>(harness::read_positive_u64(parser, harness::kTrialsKnob, 300));
   const std::uint64_t seed = harness::read_u64(parser, harness::kMcSeedKnob, 2009);
 
   partition::CmpGeometry geometry;

@@ -8,13 +8,11 @@
 // curve across allocation points 1..72, averaged over three workloads of
 // different locality shapes.
 //
-// Flags: --accesses, --json-out, --csv-out (legacy env knob
-// BACP_ACC_ACCESSES still works).
+// Flags: --accesses, --json-out.
 
 #include <cmath>
 #include <iostream>
 
-#include "common/env.hpp"
 #include "msa/stack_profiler.hpp"
 #include "obs/report.hpp"
 #include "trace/spec2000.hpp"
@@ -39,12 +37,12 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags(
-      {{"accesses=", "profiled accesses per workload (env BACP_ACC_ACCESSES)"}}));
+      {{"accesses=", "profiled accesses per workload"}}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::uint64_t accesses =
-      parser.get_u64_or_fail("accesses", common::env_u64("BACP_ACC_ACCESSES", 1'500'000));
+      parser.get_u64_or_fail("accesses", 1'500'000);
   const char* workloads[] = {"sixtrack", "bzip2", "mcf"};
   const std::uint32_t tag_bits[] = {6, 8, 12, 16};
   const std::uint32_t samplings[] = {8, 32, 128};

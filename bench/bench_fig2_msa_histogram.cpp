@@ -4,12 +4,10 @@
 // projection the figure illustrates: misses at half size = misses + hits
 // in positions 5..8.
 //
-// Flags: --accesses, --json-out, --csv-out (legacy env knob
-// BACP_FIG2_ACCESSES still works).
+// Flags: --accesses, --json-out.
 
 #include <iostream>
 
-#include "common/env.hpp"
 #include "msa/stack_profiler.hpp"
 #include "obs/report.hpp"
 #include "trace/spec2000.hpp"
@@ -19,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags(
-      {{"accesses=", "profiled accesses (env BACP_FIG2_ACCESSES)"}}));
+      {{"accesses=", "profiled accesses"}}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
@@ -40,7 +38,7 @@ int main(int argc, char** argv) {
   msa::StackProfiler profiler(profiler_config);
 
   const std::uint64_t accesses =
-      parser.get_u64_or_fail("accesses", common::env_u64("BACP_FIG2_ACCESSES", 400'000));
+      parser.get_u64_or_fail("accesses", 400'000);
   for (std::uint64_t i = 0; i < accesses; ++i) profiler.observe(generator.next().block);
 
   obs::Report report("fig2_msa_histogram",

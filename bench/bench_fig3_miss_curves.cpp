@@ -5,13 +5,11 @@
 // fits it), applu flattens past ~10 ways, bzip2 improves gradually out to
 // ~45 ways.
 //
-// Flags: --accesses, --json-out, --csv-out (legacy env knob
-// BACP_FIG3_ACCESSES still works).
+// Flags: --accesses, --json-out.
 
 #include <iostream>
 #include <vector>
 
-#include "common/env.hpp"
 #include "msa/stack_profiler.hpp"
 #include "obs/report.hpp"
 #include "trace/spec2000.hpp"
@@ -21,13 +19,13 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags(
-      {{"accesses=", "profiled accesses per workload (env BACP_FIG3_ACCESSES)"}}));
+      {{"accesses=", "profiled accesses per workload"}}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
   const char* names[] = {"sixtrack", "bzip2", "applu"};
   const std::uint64_t accesses =
-      parser.get_u64_or_fail("accesses", common::env_u64("BACP_FIG3_ACCESSES", 2'000'000));
+      parser.get_u64_or_fail("accesses", 2'000'000);
 
   std::vector<msa::MissRatioCurve> profiled;
   std::vector<msa::MissRatioCurve> analytic;

@@ -3,8 +3,9 @@
 // 8-workload mixes, sorted by the Unrestricted reduction; plus the headline
 // averages (paper: Unrestricted ~30% reduction, Bank-aware ~27%).
 //
-// Flags: --trials, --seed, --threads, --json-out, --csv-out (legacy env
-// knobs BACP_MC_TRIALS, BACP_MC_SEED, BACP_THREADS still work).
+// Flags: --trials, --seed, --threads, --sampled, --sampled-intervals,
+// --sampled-interval-instr, --sampled-warmup, --snapshot-bank, --pool,
+// --mmap, --json-out.
 
 #include <iostream>
 

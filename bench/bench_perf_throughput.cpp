@@ -16,15 +16,13 @@
 // as metrics (this artifact *is* the perf trajectory) plus a deterministic
 // checksum so result drift is distinguishable from speed drift.
 //
-// Flags: --warmup, --instr, --epoch, --seed, --accesses, --json-out,
-// --csv-out (legacy env knobs BACP_SIM_* work).
+// Flags: --warmup, --instr, --epoch, --seed, --accesses, --json-out.
 
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <new>
 
-#include "common/env.hpp"
 #include "harness/experiments.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/report.hpp"
@@ -60,14 +58,13 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   auto spec = harness::DetailedRunConfig::cli_flags();
-  spec.push_back({"accesses=", "accesses per micro loop (env BACP_PERF_ACCESSES)"});
+  spec.push_back({"accesses=", "accesses per micro loop"});
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
   auto config = harness::DetailedRunConfig::from_args(parser);
-  const auto accesses = parser.get_u64_or_fail(
-      "accesses", common::env_u64("BACP_PERF_ACCESSES", 4'000'000));
+  const auto accesses = parser.get_u64_or_fail("accesses", 4'000'000);
 
   obs::PhaseTimers timers;
   obs::Report report("perf_throughput", "Simulator throughput (accesses/second)");

@@ -13,16 +13,19 @@
 // regression fails the build instead of quietly biasing million-mix sweeps.
 //
 // Flags: --mixes, --seed, --sampled, --intervals, --interval-instr,
-// --warmup, --max-p95-error, --min-detail-reduction, --json-out, --csv-out.
+// --warmup, --max-p95-error, --min-detail-reduction, --json-out.
 
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "harness/config_cli.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/report.hpp"
 #include "partition/partition_types.hpp"
@@ -31,15 +34,30 @@
 #include "trace/mix.hpp"
 #include "trace/spec2000.hpp"
 
+namespace {
+
+// Counts that must be at least one: a zero aborts deep in the run. K and the
+// interval count are 32-bit in SampledRunConfig, so larger values would wrap.
+constexpr bacp::harness::Knob kMixesKnob{"mixes", "random mixes to validate (default 8)"};
+constexpr bacp::harness::Knob kRepresentativesKnob{
+    "sampled", "representative intervals K per mix (default 3)"};
+constexpr bacp::harness::Knob kIntervalsKnob{"intervals",
+                                             "total intervals per run (default 96)"};
+constexpr bacp::harness::Knob kIntervalInstrKnob{
+    "interval-instr", "instructions per interval per core (default 50000)"};
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags({
-      {"mixes=", "random mixes to validate (default 8)"},
+      harness::value_flag(kMixesKnob),
       {"seed=", "mix-draw and simulation seed (default 2009)"},
-      {"sampled=", "representative intervals K per mix (default 3)"},
-      {"intervals=", "total intervals per run (default 96)"},
-      {"interval-instr=", "instructions per interval per core (default 50000)"},
+      harness::value_flag(kRepresentativesKnob),
+      harness::value_flag(kIntervalsKnob),
+      harness::value_flag(kIntervalInstrKnob),
       {"warmup=", "detailed warm-up instructions before interval 0 (default 500000)"},
       {"max-p95-error=", "gate: max p95 relative miss-ratio error (default 0.03)"},
       {"min-detail-reduction=", "gate: min detail-time reduction factor (default 20)"},
@@ -47,13 +65,14 @@ int main(int argc, char** argv) {
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
-  const std::uint64_t mixes = parser.get_u64_or_fail("mixes", 8);
+  const std::uint64_t mixes = harness::read_positive_u64(parser, kMixesKnob, 8);
   const std::uint64_t seed = parser.get_u64_or_fail("seed", 2009);
   sampling::SampledRunConfig run;
-  run.k = static_cast<std::uint32_t>(parser.get_u64_or_fail("sampled", 3));
-  run.num_intervals =
-      static_cast<std::uint32_t>(parser.get_u64_or_fail("intervals", 96));
-  run.interval_instructions = parser.get_u64_or_fail("interval-instr", 50'000);
+  run.k = static_cast<std::uint32_t>(
+      harness::read_positive_u64(parser, kRepresentativesKnob, 3, kMaxU32));
+  run.num_intervals = static_cast<std::uint32_t>(
+      harness::read_positive_u64(parser, kIntervalsKnob, 96, kMaxU32));
+  run.interval_instructions = harness::read_positive_u64(parser, kIntervalInstrKnob, 50'000);
   run.warmup_instructions = parser.get_u64_or_fail("warmup", 500'000);
   const double max_p95_error = parser.get_double_or_fail("max-p95-error", 0.03);
   const double min_reduction = parser.get_double_or_fail("min-detail-reduction", 20.0);

@@ -13,7 +13,7 @@
 // Default scale sums to >10k scheduling events across the lanes.
 //
 // Flags: --epochs, --lanes, --seed, --epoch, --warmup, --threads,
-// --json-out, --csv-out.
+// --json-out.
 
 #include <chrono>
 #include <cstdio>
@@ -28,10 +28,8 @@
 
 namespace {
 
-constexpr bacp::harness::EnvFlag kEpochsKnob{"epochs", "BACP_CHURN_EPOCHS",
-                                             "churn stream length per lane, epochs"};
-constexpr bacp::harness::EnvFlag kLanesKnob{"lanes", "BACP_CHURN_LANES",
-                                            "independent service lanes"};
+constexpr bacp::harness::Knob kEpochsKnob{"epochs", "churn stream length per lane, epochs"};
+constexpr bacp::harness::Knob kLanesKnob{"lanes", "independent service lanes"};
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t hash = 0xCBF29CE484222325ull;
@@ -75,10 +73,10 @@ int main(int argc, char** argv) {
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
-  const std::uint64_t epochs = harness::read_u64(parser, kEpochsKnob, 1'500);
-  const std::uint64_t lanes = harness::read_u64(parser, kLanesKnob, 8);
+  const std::uint64_t epochs = harness::read_positive_u64(parser, kEpochsKnob, 1'500);
+  const std::uint64_t lanes = harness::read_positive_u64(parser, kLanesKnob, 8);
   const std::uint64_t seed = harness::read_u64(parser, harness::kSimSeedKnob, 42);
-  const Cycle epoch_cycles = harness::read_u64(parser, harness::kEpochKnob, 20'000);
+  const Cycle epoch_cycles = harness::read_positive_u64(parser, harness::kEpochKnob, 20'000);
   const std::uint64_t warmup = harness::read_u64(parser, harness::kWarmupKnob, 200'000);
   const std::size_t num_threads = harness::read_threads(parser);
 

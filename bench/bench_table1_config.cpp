@@ -3,7 +3,7 @@
 // back from the live configuration objects, so the table cannot drift from
 // the simulator.
 //
-// Flags: --json-out, --csv-out.
+// Flags: --json-out.
 
 #include <iostream>
 

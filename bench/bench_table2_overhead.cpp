@@ -2,7 +2,7 @@
 // profiler — 12-bit partial tags, 1-in-32 set sampling, 72-way (9/16
 // capacity) stack — and the ~0.4-0.5% of-L2 total the paper reports.
 //
-// Flags: --json-out, --csv-out.
+// Flags: --json-out.
 
 #include <iostream>
 

@@ -5,7 +5,7 @@
 // the comparison to make is structural: who gets the big partitions, who
 // gets squeezed, and that every row sums to the full 128 ways.
 //
-// Flags: --json-out, --csv-out.
+// Flags: --json-out.
 
 #include <iostream>
 #include <sstream>

@@ -28,8 +28,8 @@
 //
 // Flags: --trials (analytic trials), --sampled-trials, --seed, --threads,
 // --sampled, --sampled-intervals, --sampled-interval-instr,
-// --sampled-warmup, --json-out, --csv-out (legacy BACP_MC_* env knobs
-// work). Scale defaults are laptop-friendly; CI passes them explicitly.
+// --sampled-warmup, --snapshot-bank, --pool, --mmap, --json-out. Scale
+// defaults are laptop-friendly; CI passes them explicitly.
 
 #include <atomic>
 #include <cstdlib>
@@ -88,8 +88,8 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 int main(int argc, char** argv) {
   using namespace bacp;
 
-  constexpr harness::EnvFlag kSampledTrialsKnob{"sampled-trials", "BACP_TRIAL_SAMPLED",
-                                                 "trials for the sampled surface"};
+  constexpr harness::Knob kSampledTrialsKnob{"sampled-trials",
+                                             "trials for the sampled surface"};
   auto spec = harness::MonteCarloConfig::cli_flags();
   spec.push_back(harness::value_flag(kSampledTrialsKnob));
   common::ArgParser parser(obs::with_report_flags(std::move(spec)));
@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
   // runs the simulator). The sampled scale knobs default to short intervals
   // so trial *start* cost — the quantity under test — dominates the run.
   harness::MonteCarloConfig base = harness::MonteCarloConfig::from_args(parser);
-  const auto analytic_trials = static_cast<std::size_t>(parser.get_u64_or_fail(
-      "trials", common::env_u64("BACP_MC_TRIALS", 20'000)));
+  const auto analytic_trials =
+      static_cast<std::size_t>(harness::read_positive_u64(parser, harness::kTrialsKnob, 20'000));
   const auto sampled_trials =
       static_cast<std::size_t>(harness::read_positive_u64(parser, kSampledTrialsKnob, 12));
 

@@ -6,12 +6,10 @@
 // partitioning policies of the paper's evaluation and prints the per-VM
 // damage report.
 //
-// Flags: --instr, --json-out, --csv-out (legacy env knob
-// BACP_EXAMPLE_INSTR still works).
+// Flags: --instr, --json-out.
 
 #include <iostream>
 
-#include "common/env.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
@@ -20,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags(
-      {{"instr=", "instructions per core (env BACP_EXAMPLE_INSTR)"}}));
+      {{"instr=", "instructions per core"}}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
@@ -37,7 +35,7 @@ int main(int argc, char** argv) {
   const auto mix = trace::mix_from_names(names);
 
   const std::uint64_t instructions =
-      parser.get_u64_or_fail("instr", common::env_u64("BACP_EXAMPLE_INSTR", 4'000'000));
+      parser.get_u64_or_fail("instr", 4'000'000);
 
   std::vector<sim::SystemResults> results;
   for (const auto policy :

@@ -4,14 +4,13 @@
 // the partitioning converge from the equal-split bootstrap toward the
 // steady-state assignment, and dumps the full obs::TimeSeries the
 // simulator records (per-core ways and CPI, promotion/demotion deltas,
-// DRAM and NoC traffic) for offline plotting via --json-out/--csv-out.
+// DRAM and NoC traffic) for offline plotting via --json-out.
 //
-// Flags: --instr, --epoch (legacy env knobs BACP_EXAMPLE_INSTR,
-// BACP_EXAMPLE_EPOCH still work).
+// Flags: --instr, --epoch, --json-out.
 
 #include <iostream>
 
-#include "common/env.hpp"
+#include "harness/config_cli.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
@@ -20,8 +19,7 @@ int main(int argc, char** argv) {
   using namespace bacp;
 
   common::ArgParser parser(obs::with_report_flags(
-      {{"instr=", "instructions per core (env BACP_EXAMPLE_INSTR)"},
-       {"epoch=", "repartition epoch in cycles (env BACP_EXAMPLE_EPOCH)"}}));
+      {{"instr=", "instructions per core"}, harness::value_flag(harness::kEpochKnob)}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
@@ -30,12 +28,11 @@ int main(int argc, char** argv) {
 
   sim::SystemConfig config = sim::SystemConfig::baseline();
   config.policy = sim::PolicyKind::BankAware;
-  config.epoch_cycles =
-      parser.get_u64_or_fail("epoch", common::env_u64("BACP_EXAMPLE_EPOCH", 2'000'000));
+  config.epoch_cycles = harness::read_positive_u64(parser, harness::kEpochKnob, 2'000'000);
   config.finalize();
 
   sim::System system(config, mix);
-  system.run(parser.get_u64_or_fail("instr", common::env_u64("BACP_EXAMPLE_INSTR", 6'000'000)));
+  system.run(parser.get_u64_or_fail("instr", 6'000'000));
   const auto results = system.results();
 
   obs::Report report("epoch_dynamics", "Epoch-by-epoch Bank-aware allocations");

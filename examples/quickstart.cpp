@@ -7,7 +7,7 @@
 //      physically realizable DNUCA partitioning plan.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
-// Add --json-out=plan.json / --csv-out=plan.csv to capture the result.
+// Add --json-out=plan.json to capture the result.
 
 #include <iostream>
 

@@ -5,20 +5,18 @@
 // 2-banks-per-core shape. The banking rules and the allocator are geometry-
 // generic, so nothing else changes.
 //
-// Flags: --trials, --json-out, --csv-out (legacy env knob
-// BACP_EXAMPLE_TRIALS still works).
+// Flags: --trials, --json-out.
 
 #include <iostream>
 
-#include "common/env.hpp"
+#include "harness/config_cli.hpp"
 #include "harness/monte_carlo.hpp"
 #include "obs/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace bacp;
 
-  common::ArgParser parser(obs::with_report_flags(
-      {{"trials=", "Monte-Carlo trials per geometry (env BACP_EXAMPLE_TRIALS)"}}));
+  common::ArgParser parser(obs::with_report_flags({harness::value_flag(harness::kTrialsKnob)}));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
@@ -27,8 +25,8 @@ int main(int argc, char** argv) {
     std::uint32_t banks;
   };
   const Shape shapes[] = {{4, 8}, {8, 16}, {12, 24}, {16, 32}};
-  const std::size_t trials = static_cast<std::size_t>(
-      parser.get_u64_or_fail("trials", common::env_u64("BACP_EXAMPLE_TRIALS", 200)));
+  const std::size_t trials =
+      static_cast<std::size_t>(harness::read_positive_u64(parser, harness::kTrialsKnob, 200));
 
   obs::Report report("scaling_study",
                      "Bank-aware scalability across CMP geometries");

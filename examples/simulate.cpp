@@ -3,19 +3,18 @@
 //
 //   simulate --policy=bank-aware --instr=8000000
 //            mcf art bzip2 gcc sixtrack swim facerec eon   (one mix)
-//   simulate --set=Set7 --policy=none --csv
+//   simulate --set=Set7 --policy=none
 //   simulate --set=Set2 --json-out=run.json
 //   simulate --list
 //
-// Prints per-core results as a table (or CSV for scripting) and writes the
-// full structured result — including the per-epoch time series — with
-// --json-out / --csv-out.
+// Prints per-core results as a table and writes the full structured
+// result — including the per-epoch time series — with --json-out.
 
 #include <iostream>
-#include <sstream>
 
 #include "common/args.hpp"
 #include "common/table.hpp"
+#include "harness/config_cli.hpp"
 #include "harness/experiments.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
@@ -41,10 +40,9 @@ int main(int argc, char** argv) {
       {"policy=", "partitioning policy: none | equal | bank-aware (default)"},
       {"instr=", "measured instructions per core (default 8000000)"},
       {"warmup=", "warm-up instructions per core (default instr/2)"},
-      {"epoch=", "repartition epoch in cycles (default 8000000)"},
+      harness::value_flag(harness::kEpochKnob),
       {"seed=", "simulation seed (default 42)"},
       {"set=", "run a paper Table III set (Set1..Set8) instead of a mix"},
-      {"csv", "emit CSV instead of an aligned table"},
       {"list", "list the available workload models and exit"},
   }));
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
@@ -108,7 +106,7 @@ int main(int argc, char** argv) {
 
   sim::SystemConfig config = sim::SystemConfig::baseline();
   config.policy = *policy;
-  config.epoch_cycles = parser.get_u64_or_fail("epoch", config.epoch_cycles);
+  config.epoch_cycles = harness::read_positive_u64(parser, harness::kEpochKnob, config.epoch_cycles);
   config.seed = parser.get_u64_or_fail("seed", config.seed);
   config.finalize();
 
@@ -142,12 +140,5 @@ int main(int argc, char** argv) {
   report.metric("epochs", results.epochs());
   // The full structured result (all component counters + epoch series).
   report.attach("system_results", results.to_json());
-
-  if (parser.has("csv")) {
-    // Legacy scripting mode: CSV on stdout; file sinks still honored.
-    std::cout << report.to_csv();
-    std::ostringstream sink;
-    return report.emit(sink, options) ? 0 : 1;
-  }
   return report.emit(std::cout, options) ? 0 : 1;
 }

@@ -86,8 +86,6 @@ bank_leg bench_fig8_miss_rate --warmup 400000 --instr 800000
 bank_leg bench_ablation_epoch_length --instr 2000000
 bank_leg bench_ablation_aggregation --warmup 400000 --instr 800000
 bank_leg bench_ablation_adaptation --instr 1000000
-run bench_fig9_cpi --warmup 400000 --instr 800000 --json-out "${runs}/fig9.json" \
-  --csv-out "${runs}/fig9.csv"
 run bench_perf_throughput --json-out "${runs}/perf.json"
 for threads in 1 4; do
   run bench_fig7_monte_carlo --trials 64 --seed 11 --threads "${threads}" \
@@ -97,28 +95,28 @@ for threads in 1 4; do
 done
 for pool in auto off; do
   for mmap in auto off; do
-    BACP_POOL="${pool}" BACP_MMAP="${mmap}" run bench_fig7_monte_carlo "${sampled[@]}" \
+    run bench_fig7_monte_carlo "${sampled[@]}" --pool "${pool}" --mmap "${mmap}" \
       --snapshot-bank "${runs}/sampled-bank" --json-out "${runs}/mc-${pool}-${mmap}.json"
   done
 done
 run bench_trial_throughput --threads 4
 run bench_trial_throughput --trials 4000 --sampled-trials 6 --json-out "${runs}/trial.json"
-run bench_sampling_error --json-out "${runs}/sampling.json" --csv-out "${runs}/sampling.csv"
+run bench_sampling_error --json-out "${runs}/sampling.json"
 run bench_sched_churn --json-out "${runs}/churn.json"
 run bench_sched_churn --threads 2 --json-out "${runs}/churn-t2.json"
 for bench in bench_table1_config bench_table2_overhead bench_table3_assignments \
              bench_fig2_msa_histogram bench_fig3_miss_curves bench_ablation_maxcap \
              bench_ablation_policies bench_ablation_profiler_accuracy; do
-  run "${bench}" --json-out "${runs}/${bench}.json" --csv-out "${runs}/${bench}.csv"
+  run "${bench}" --json-out "${runs}/${bench}.json"
 done
 
 run quickstart --json-out "${runs}/quickstart.json"
 run consolidated_server --instr 1000000 --json-out "${runs}/server.json"
-run epoch_dynamics --instr 1500000 --json-out "${runs}/epochs.json" --csv-out "${runs}/epochs.csv"
+run epoch_dynamics --instr 1500000 --json-out "${runs}/epochs.json"
 run scaling_study --trials 50 --json-out "${runs}/scaling.json"
 run simulate --list
 run simulate --set Set2 --instr 800000 --json-out "${runs}/simulate.json"
-run simulate --policy equal --instr 400000 --csv gzip mesa eon crafty perlbmk gap vortex bzip2
+run simulate --policy equal --instr 400000 gzip mesa eon crafty perlbmk gap vortex bzip2
 
 run "${build}/bacp/tools/bacp-analyze/bacp-analyze" --root "${root}"
 for workload in fig8_detailed mc_analytic mc_sampled sched_churn; do

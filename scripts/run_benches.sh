@@ -7,9 +7,8 @@
 # Usage:
 #   scripts/run_benches.sh [build-dir]
 #
-# Default build-dir: build/release if it exists, else build. Scale knobs
-# (BACP_MC_TRIALS, BACP_SIM_INSTR, ...) are honored by the benches as
-# fallbacks for their flags.
+# Default build-dir: build/release if it exists, else build. Every bench
+# runs at its built-in default scale.
 
 set -euo pipefail
 
@@ -48,7 +47,6 @@ benches=(
   bench_fig3_miss_curves
   bench_fig7_monte_carlo
   bench_fig8_miss_rate
-  bench_fig9_cpi
   bench_table1_config
   bench_table2_overhead
   bench_table3_assignments

@@ -43,14 +43,6 @@ class Histogram {
     total_ = 0;
   }
 
-  /// Element-wise accumulate (bins must match).
-  void accumulate(const Histogram& other) {
-    BACP_ASSERT(bins_.size() == other.bins_.size(),
-                "accumulating histograms of different sizes");
-    for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-    total_ += other.total_;
-  }
-
   /// Normalized bin fractions (empty histogram -> all zeros).
   std::vector<double> normalized() const {
     std::vector<double> out(bins_.size(), 0.0);

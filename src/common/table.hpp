@@ -6,7 +6,7 @@
 
 namespace bacp::common {
 
-/// Minimal ASCII table / CSV writer used by the benchmark harness to print
+/// Minimal ASCII table writer used by the benchmark harness to print
 /// paper-style rows. Cells are strings; numeric helpers format consistently.
 class Table {
  public:
@@ -23,9 +23,6 @@ class Table {
 
   /// Renders with aligned columns and a header rule.
   void print(std::ostream& os) const;
-
-  /// Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  void print_csv(std::ostream& os) const;
 
   static std::string format_double(double value, int precision);
 

@@ -6,25 +6,15 @@
 #include <string>
 #include <system_error>
 
-#include "common/env.hpp"
-
 namespace bacp::harness {
 
-std::pair<std::string, std::string> value_flag(const EnvFlag& knob) {
-  std::string help = knob.help;
-  if (knob.env[0] != '\0') {
-    help += " (env ";
-    help += knob.env;
-    help += ")";
-  }
-  return {std::string(knob.flag) + "=", std::move(help)};
+std::pair<std::string, std::string> value_flag(const Knob& knob) {
+  return {std::string(knob.flag) + "=", knob.help};
 }
 
-std::uint64_t read_u64(const common::ArgParser& parser, const EnvFlag& knob,
+std::uint64_t read_u64(const common::ArgParser& parser, const Knob& knob,
                        std::uint64_t fallback, std::uint64_t max) {
-  const std::uint64_t backed =
-      knob.env[0] != '\0' ? common::env_u64(knob.env, fallback) : fallback;
-  const std::uint64_t value = parser.get_u64_or_fail(knob.flag, backed);
+  const std::uint64_t value = parser.get_u64_or_fail(knob.flag, fallback);
   if (value > max) {
     parser.fatal_usage("--" + std::string(knob.flag) + "=" + std::to_string(value) +
                        ": must be at most " + std::to_string(max));
@@ -32,7 +22,7 @@ std::uint64_t read_u64(const common::ArgParser& parser, const EnvFlag& knob,
   return value;
 }
 
-std::uint64_t read_positive_u64(const common::ArgParser& parser, const EnvFlag& knob,
+std::uint64_t read_positive_u64(const common::ArgParser& parser, const Knob& knob,
                                 std::uint64_t fallback, std::uint64_t max) {
   const std::uint64_t value = read_u64(parser, knob, fallback, max);
   if (value == 0) {
@@ -41,15 +31,8 @@ std::uint64_t read_positive_u64(const common::ArgParser& parser, const EnvFlag& 
   return value;
 }
 
-std::string read_string(const common::ArgParser& parser, const EnvFlag& knob,
-                        const std::string& fallback) {
-  const std::string backed =
-      knob.env[0] != '\0' ? common::env_string(knob.env, fallback) : fallback;
-  return parser.get(knob.flag, backed);
-}
-
 std::string read_snapshot_bank(const common::ArgParser& parser) {
-  std::string bank = read_string(parser, kSnapshotBankKnob, "");
+  std::string bank = parser.get(kSnapshotBankKnob.flag, "");
   std::error_code error;
   if (!bank.empty() && !(std::filesystem::is_directory(bank, error) &&
                          ::access(bank.c_str(), W_OK | X_OK) == 0)) {
@@ -63,8 +46,8 @@ std::size_t read_threads(const common::ArgParser& parser, std::size_t fallback) 
   return static_cast<std::size_t>(read_u64(parser, kThreadsKnob, fallback));
 }
 
-bool read_toggle(const common::ArgParser& parser, const EnvFlag& knob, bool fallback) {
-  const std::string text = read_string(parser, knob, fallback ? "auto" : "off");
+bool read_toggle(const common::ArgParser& parser, const Knob& knob, bool fallback) {
+  const std::string text = parser.get(knob.flag, fallback ? "auto" : "off");
   if (text == "auto" || text == "on") return true;
   if (text == "off") return false;
   parser.fatal_usage("--" + std::string(knob.flag) + "=" + text +

@@ -24,7 +24,7 @@ DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) 
   DetailedRunConfig config;
   config.warmup_instructions = read_u64(parser, kWarmupKnob, config.warmup_instructions);
   config.measure_instructions = read_u64(parser, kInstrKnob, config.measure_instructions);
-  config.epoch_cycles = read_u64(parser, kEpochKnob, config.epoch_cycles);
+  config.epoch_cycles = read_positive_u64(parser, kEpochKnob, config.epoch_cycles);
   config.seed = read_u64(parser, kSimSeedKnob, config.seed);
   return config;
 }

@@ -39,9 +39,8 @@ struct DetailedRunConfig {
   /// binaries that drive detailed simulations; pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
-  /// Builds a config from parsed flags. Precedence: explicit flag, then the
-  /// BACP_SIM_{WARMUP,INSTR,EPOCH,SEED} environment knobs, then the
-  /// built-in defaults.
+  /// Builds a config from parsed flags; an absent flag keeps its built-in
+  /// default. A zero --epoch exits 2.
   static DetailedRunConfig from_args(const common::ArgParser& parser);
 };
 
@@ -68,8 +67,8 @@ struct SweepOptions {
   /// exactly these. Pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
-  /// Standard precedence: explicit flag, then BACP_THREADS /
-  /// BACP_SNAPSHOT_BANK, then defaults. An unusable --snapshot-bank exits 2.
+  /// Builds the options from parsed flags; an absent flag keeps its
+  /// default. An unusable --snapshot-bank exits 2.
   static SweepOptions from_args(const common::ArgParser& parser);
 };
 

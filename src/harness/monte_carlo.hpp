@@ -38,20 +38,19 @@ struct MonteCarloConfig {
   /// System pooling for sampled trials (harness::SystemPool): reuse one
   /// constructed System per worker via reset_in_place instead of paying
   /// construction per trial. Pure speed dial — artifacts are byte-identical
-  /// either way (--pool=off / BACP_POOL=off disables for A/B checks).
+  /// either way (--pool=off disables for A/B checks).
   bool pool = true;
   /// Snapshot-bank read path: mmap zero-copy (default) or buffered reads
-  /// (--mmap=off / BACP_MMAP=off). Pure speed dial, byte-identical results.
+  /// (--mmap=off). Pure speed dial, byte-identical results.
   bool mmap = true;
 
   /// The standard sweep flags (--trials, --seed, --threads) for binaries
   /// that run the Monte-Carlo evaluation; pair with from_args().
   static std::vector<std::pair<std::string, std::string>> cli_flags();
 
-  /// Builds a config from parsed flags. Precedence: explicit flag, then the
-  /// legacy BACP_MC_{TRIALS,SEED} / BACP_THREADS environment knobs, then
-  /// the built-in defaults. An unusable --snapshot-bank exits 2, and so
-  /// does a zero --trials, --sampled-intervals or --sampled-interval-instr.
+  /// Builds a config from parsed flags; an absent flag keeps its built-in
+  /// default. An unusable --snapshot-bank exits 2, and so does a zero
+  /// --trials, --sampled-intervals or --sampled-interval-instr.
   static MonteCarloConfig from_args(const common::ArgParser& parser);
 };
 

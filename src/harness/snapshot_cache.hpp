@@ -49,7 +49,7 @@ class SnapshotCache {
   /// Bank read path: mmap zero-copy (default) or buffered ifstream reads.
   /// Pure speed dial — a loaded snapshot passes the same structural audit
   /// (including per-section checksums computed from the mapped region) and
-  /// restores byte-identically either way; BACP_MMAP=off exists so the CI
+  /// restores byte-identically either way; --mmap=off exists so the CI
   /// artifact matrix can prove it.
   void set_mmap_reads(bool enabled) BACP_EXCLUDES(mutex_);
 

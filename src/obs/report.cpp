@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string_view>
 
 #include "common/assert.hpp"
@@ -65,7 +64,6 @@ Json ReportTable::to_json() const {
 ReportOptions ReportOptions::from_args(const common::ArgParser& parser) {
   ReportOptions options;
   options.json_out = parser.get("json-out", "");
-  options.csv_out = parser.get("csv-out", "");
   return options;
 }
 
@@ -154,29 +152,9 @@ Json Report::to_json() const {
   return out;
 }
 
-std::string Report::to_csv() const {
-  std::ostringstream oss;
-  oss << "# report," << name_ << '\n';
-  for (const auto& [key, value] : meta_) oss << "# meta," << key << ',' << value << '\n';
-  if (!metrics_.empty()) {
-    oss << "# metrics\n";
-    common::Table table({"metric", "value"});
-    for (const auto& metric : metrics_) {
-      table.begin_row().add_cell(metric.name).add_cell(metric.text);
-    }
-    table.print_csv(oss);
-  }
-  for (const auto& t : tables_) {
-    oss << "# table," << t.name() << '\n';
-    t.render().print_csv(oss);
-  }
-  return oss.str();
-}
-
 namespace {
 
-bool write_file(const std::string& path, const std::string& contents,
-                const char* what) {
+bool write_file(const std::string& path, const std::string& contents) {
   const std::filesystem::path fs_path(path);
   std::error_code ec;
   if (fs_path.has_parent_path()) {
@@ -184,13 +162,13 @@ bool write_file(const std::string& path, const std::string& contents,
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
-    std::cerr << "error: cannot open " << what << " file '" << path << "'\n";
+    std::cerr << "error: cannot open JSON file '" << path << "'\n";
     return false;
   }
   out << contents;
   out.close();
   if (!out) {
-    std::cerr << "error: failed writing " << what << " file '" << path << "'\n";
+    std::cerr << "error: failed writing JSON file '" << path << "'\n";
     return false;
   }
   return true;
@@ -228,26 +206,19 @@ bool Report::emit(std::ostream& console, const ReportOptions& options) const {
   print(console);
   const std::string timings = global_phase_timers().summary();
   if (!timings.empty()) console << '\n' << timings << '\n';
-  bool ok = true;
-  if (!options.json_out.empty()) {
-    Json json = to_json();
-    if (const auto extra = env_meta(); !extra.empty()) {
-      Json meta = *json.find("meta");
-      for (const auto& [key, value] : extra) meta.set(key, value);
-      json.set("meta", std::move(meta));
-    }
-    ok = write_file(options.json_out, json.dump(2) + "\n", "JSON") && ok;
+  if (options.json_out.empty()) return true;
+  Json json = to_json();
+  if (const auto extra = env_meta(); !extra.empty()) {
+    Json meta = *json.find("meta");
+    for (const auto& [key, value] : extra) meta.set(key, value);
+    json.set("meta", std::move(meta));
   }
-  if (!options.csv_out.empty()) {
-    ok = write_file(options.csv_out, to_csv(), "CSV") && ok;
-  }
-  return ok;
+  return write_file(options.json_out, json.dump(2) + "\n");
 }
 
 std::vector<std::pair<std::string, std::string>> with_report_flags(
     std::vector<std::pair<std::string, std::string>> spec) {
   spec.emplace_back("json-out=", "write the report as deterministic JSON to <path>");
-  spec.emplace_back("csv-out=", "write the report as CSV to <path>");
   spec.emplace_back("help", "show this help");
   return spec;
 }

@@ -54,7 +54,7 @@ TEST(Table3Sets, MixLabelsAreReadable) {
 }
 
 TEST(DetailedRunConfig, FromArgsPrefersFlags) {
-  // The spec the Fig. 8/9 binaries assemble: scale flags plus sweep flags.
+  // The spec bench_fig8_miss_rate assembles: scale flags plus sweep flags.
   auto spec = DetailedRunConfig::cli_flags();
   for (auto& row : SweepOptions::cli_flags()) spec.push_back(std::move(row));
   common::ArgParser parser(std::move(spec));
@@ -85,6 +85,16 @@ TEST(DetailedRunConfigDeath, SweepAndSpeedDialFlagsAreUnknown) {
                 ::testing::ExitedWithCode(2), "unknown flag")
         << flag;
   }
+}
+
+// A zero epoch is a usage error (exit 2) that names the flag, not an abort
+// in SystemConfig::validate once the sweep has started.
+TEST(DetailedRunConfigDeath, ZeroEpochExits2) {
+  common::ArgParser parser(DetailedRunConfig::cli_flags());
+  const char* argv[] = {"prog", "--epoch=0"};
+  ASSERT_TRUE(parser.parse(2, argv));
+  EXPECT_EXIT((void)DetailedRunConfig::from_args(parser), ::testing::ExitedWithCode(2),
+              "--epoch=0: must be at least 1");
 }
 
 TEST(SetComparison, RatiosComputeAgainstNoPartition) {

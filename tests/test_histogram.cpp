@@ -51,17 +51,6 @@ TEST(Histogram, ClearResets) {
   EXPECT_EQ(h.num_bins(), 2u);
 }
 
-TEST(Histogram, AccumulateAddsElementwise) {
-  Histogram a(2), b(2);
-  a.increment(0, 1);
-  b.increment(0, 2);
-  b.increment(1, 3);
-  a.accumulate(b);
-  EXPECT_EQ(a.bin(0), 3u);
-  EXPECT_EQ(a.bin(1), 3u);
-  EXPECT_EQ(a.total(), 6u);
-}
-
 TEST(Histogram, NormalizedSumsToOne) {
   Histogram h(4);
   h.increment(0, 1);

@@ -157,7 +157,7 @@ TEST(Registry, KindsAndValues) {
   EXPECT_EQ(registry.find_counter("absent"), nullptr);
 }
 
-TEST(Registry, JsonAndCsvAreNameSorted) {
+TEST(Registry, JsonIsNameSorted) {
   Registry registry;
   registry.counter("z.last").add(1);
   registry.counter("a.first").add(2);
@@ -187,7 +187,7 @@ TEST(TimeSeries, RecordsRectangularColumns) {
   EXPECT_DOUBLE_EQ(ways[1], 20.0);
 }
 
-TEST(TimeSeries, JsonAndCsvShapes) {
+TEST(TimeSeries, JsonShape) {
   TimeSeries series;
   series.begin_epoch();
   series.record(series.intern("a"), 1.0);
@@ -254,11 +254,10 @@ TEST(Report, MetricValueLookup) {
   EXPECT_DOUBLE_EQ(report.metric_value("absent", -1.0), -1.0);
 }
 
-TEST(Report, EmitWritesJsonAndCsvFiles) {
+TEST(Report, EmitWritesJsonFile) {
   const std::string dir = ::testing::TempDir();
   ReportOptions options;
   options.json_out = dir + "/obs_report_test/out.json";
-  options.csv_out = dir + "/obs_report_test/out.csv";
   std::ostringstream console;
   ASSERT_TRUE(sample_report().emit(console, options));
   EXPECT_NE(console.str().find("Sample report"), std::string::npos);
@@ -271,12 +270,6 @@ TEST(Report, EmitWritesJsonAndCsvFiles) {
   const auto parsed = Json::parse(json_text.str(), &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(parsed.at("report").as_string(), "sample");
-
-  std::ifstream csv_file(options.csv_out);
-  ASSERT_TRUE(csv_file.good());
-  std::string first_line;
-  std::getline(csv_file, first_line);
-  EXPECT_FALSE(first_line.empty());
 }
 
 }  // namespace

@@ -36,28 +36,11 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(out.find("|---"), std::string::npos);
 }
 
-TEST(Table, CsvPlainCells) {
-  Table t({"a", "b"});
-  t.begin_row().add_cell("1").add_cell("2");
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvEscapesCommasAndQuotes) {
-  Table t({"a"});
-  t.begin_row().add_cell("x,y");
-  t.begin_row().add_cell("say \"hi\"");
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "a\n\"x,y\"\n\"say \"\"hi\"\"\"\n");
-}
-
 TEST(Table, EmptyTablePrintsHeaderOnly) {
   Table t({"only"});
   std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "only\n");
+  t.print(oss);
+  EXPECT_EQ(oss.str(), "| only |\n|------|\n");
 }
 
 }  // namespace

@@ -189,9 +189,7 @@ void check_det_ptr_order(const CodeModel& model, bool explicit_files,
 // --- bacp-det-wallclock -----------------------------------------------------
 
 bool wallclock_sanctioned(const std::string& rel) {
-  return rel.rfind("src/common/", 0) == 0 ||
-         rel == "src/harness/config_cli.hpp" ||
-         rel == "src/harness/config_cli.cpp";
+  return rel.rfind("src/common/", 0) == 0;
 }
 
 void check_det_wallclock(const CodeModel& model, bool explicit_files,
@@ -237,8 +235,7 @@ void check_det_wallclock(const CodeModel& model, bool explicit_files,
         emit(file, "bacp-det-wallclock", toks[i].line,
              "call to " + text +
                  "() injects wall-clock/environment state into the "
-                 "simulation; sanctioned sites are src/common/ and "
-                 "harness/config_cli",
+                 "simulation; the sanctioned site is src/common/",
              out);
         continue;
       }

@@ -1,5 +1,5 @@
 // Planted violation for bacp-det-wallclock: reading the environment outside
-// the sanctioned common/ + config_cli sites lets host state leak into runs.
+// the sanctioned common/ site lets host state leak into runs.
 #include <cstdlib>
 #include <string>
 
