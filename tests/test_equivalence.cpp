@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -41,6 +42,7 @@
 #include "sim/system.hpp"
 #include "sim/system_config.hpp"
 #include "snapshot/codec.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/mix.hpp"
 #include "trace/spec2000.hpp"
 #include "trace/synthetic.hpp"
@@ -605,6 +607,109 @@ TEST(GeneratorEquivalence, BatchedRefillWithTruncationMatchesScalarStream) {
     retire();
     EXPECT_EQ(generator_bytes(batched), generator_bytes(scalar));
     EXPECT_EQ(batched.blocks_allocated(), scalar.blocks_allocated());
+  }
+}
+
+TEST(GeneratorEquivalence, TruncatedBatchStreamsMatchPinnedDigests) {
+  // Pins, for every SPEC model at max_depth 128 (ring capacity equals the
+  // depth, as in production) and 48 (capacity 64, dead slots), the digest
+  // of 20,000 blocks drawn through next_batch() with truncate_batch() at
+  // seeded random cuts, and the digest of the save_state() bytes after
+  // them. A ring storage change must keep the stream, the rewinds and the
+  // snapshot format exactly. With 32 sets the cold-heavy models fill their
+  // rings, so fresh inserts into full sets and their undo run at both depths.
+  struct Pin {
+    std::uint64_t stream;
+    std::uint64_t state;
+  };
+  constexpr std::uint32_t kBlocks = 20'000;
+  const auto& suite = trace::spec2000_suite();
+  const auto digests = [](const trace::WorkloadModel& model, WayCount depth) {
+    trace::GeneratorConfig config;
+    config.num_sets = 32;
+    config.max_depth = depth;
+    config.core = 5;
+    trace::SyntheticTraceGenerator generator(model, config, 2009);
+    common::Rng cuts(0xC075 + depth);
+    trace::AccessBatch batch;
+    std::vector<std::uint8_t> stream;
+    snapshot::Writer writer(stream);
+    for (std::uint32_t drawn = 0; drawn < kBlocks;) {
+      const auto n = static_cast<std::uint32_t>(1 + cuts.next_below(trace::AccessBatch::kMaxSize));
+      generator.next_batch(batch, n);
+      const auto consumed = std::min(static_cast<std::uint32_t>(cuts.next_below(n + 1)),
+                                     kBlocks - drawn);
+      for (std::uint32_t i = 0; i < consumed; ++i) writer.u64(batch.accesses[i].block);
+      generator.truncate_batch(consumed);
+      drawn += consumed;
+    }
+    return Pin{snapshot::fnv1a(stream), snapshot::fnv1a(generator_bytes(generator))};
+  };
+  // One row per spec2000_suite() model, in suite order: {stream, state}.
+  const std::vector<Pin> pinned128 = {
+      {0x88f243f22f4a9592ull, 0x07d45f2ae2a9f590ull},  // ammp
+      {0x5675809ee9a558b2ull, 0xe5bd6855cdf9a539ull},  // applu
+      {0x1320a2a2f0233f72ull, 0xa4aacdf333b9d1e7ull},  // apsi
+      {0xea10e445df4931d2ull, 0xe145cb88e5000001ull},  // art
+      {0x910b7a1c44cf96b2ull, 0x1a72f61814a5e99cull},  // bzip2
+      {0xdf3cff6e1a3f16f2ull, 0xa64fe829d6473b22ull},  // crafty
+      {0xff94f06b972468f2ull, 0x5ff158c597096bb6ull},  // eon
+      {0x0aceb91c91a48cd2ull, 0xe12021abfaac40f3ull},  // equake
+      {0x320c2314a10543d2ull, 0x1ec60b89a1e5befcull},  // facerec
+      {0x8911510111306592ull, 0xf07f3766724a3646ull},  // fma3d
+      {0xb6e36841a754ec12ull, 0x89b1d21c3cd5f283ull},  // galgel
+      {0x8d56dc8f6d599972ull, 0x9452f90012c9f693ull},  // gap
+      {0x23ba7b7ee8cee8b2ull, 0x3a50fc490f6ec22bull},  // gcc
+      {0xa11ba108ff876832ull, 0x050d639b48bd11b5ull},  // gzip
+      {0x9c902c676280a072ull, 0xab72464a842835ddull},  // lucas
+      {0x53d1d38fe78f3e72ull, 0x522446a6db89f89full},  // mcf
+      {0x4ad2b03127a0eef2ull, 0xb0e3d2a4a4f351e9ull},  // mesa
+      {0x49d0f11c20974a72ull, 0x4a0514a687ac93faull},  // mgrid
+      {0x0a893e31cb4670b2ull, 0x3adbfea842869e0bull},  // parser
+      {0xa333cbab08d1fa32ull, 0x86d2da74eaf1f45cull},  // perlbmk
+      {0xe1e6f21b4a768b52ull, 0x04b57c0ca1c62249ull},  // sixtrack
+      {0x62943b9a118105f2ull, 0x6f18f7b9e65f6b9aull},  // swim
+      {0x8fc60ce54224d7f2ull, 0xfacd827fed984472ull},  // twolf
+      {0x25b7aaff54a31f72ull, 0xc4cae404ae76cc01ull},  // vortex
+      {0xa3aa4585bfe817f2ull, 0xabbd38ffb239ff12ull},  // vpr
+      {0xb874a838e3495672ull, 0x99b7ea16d27d9937ull},  // wupwise
+  };
+  const std::vector<Pin> pinned48 = {
+      {0x5b48556dff570d46ull, 0x7fcef5c9d6d4a3a4ull},  // ammp
+      {0xe1f8b9615ff90646ull, 0x1411fd2283fd618cull},  // applu
+      {0x9fb2bac994380c46ull, 0x28525facdf972ef2ull},  // apsi
+      {0x0c2e7298d66e52e6ull, 0x4db3b7c2e24aef2aull},  // art
+      {0xc9b131f10ae2b5c6ull, 0x0becf8095ec952e3ull},  // bzip2
+      {0xa2d9daa50a6645e6ull, 0x9444d308e8b3c17eull},  // crafty
+      {0x05c5ed5f6a36bee6ull, 0x43dec37449eb517cull},  // eon
+      {0x04a1803317d97446ull, 0x7acdc25929517833ull},  // equake
+      {0x49a0c38538744f86ull, 0xfea41bacb3dfcc33ull},  // facerec
+      {0xe1b59a1b879638a6ull, 0xe8c5f4317357b225ull},  // fma3d
+      {0xe6e2420aece50bc6ull, 0x2a23aaabe8da35cdull},  // galgel
+      {0x29485481605b3f86ull, 0xce313357ce28043bull},  // gap
+      {0x4be34cbf44e8aa46ull, 0x0351e5ea3ac141d0ull},  // gcc
+      {0x62a4c2fc89cef606ull, 0xbb32a13aa08e0a03ull},  // gzip
+      {0x9458bf75c38d7e66ull, 0x862895120912ea2aull},  // lucas
+      {0x5e132e0f06219f06ull, 0x7a33a3fddd4d7b12ull},  // mcf
+      {0xf4764921b0f84ea6ull, 0x644194dc1f90d4b9ull},  // mesa
+      {0xbd05f0514e3fdae6ull, 0x4c2e3f77020a9225ull},  // mgrid
+      {0x9a3c236a04527ae6ull, 0x631cc7a79752dfcdull},  // parser
+      {0xb35da4558fc6c546ull, 0xaf184ba657c23c03ull},  // perlbmk
+      {0x7348c2fe8d8c9c46ull, 0x72b6605bdacdd65bull},  // sixtrack
+      {0x2b23f5c6d3ae8ca6ull, 0xf6bb8460f7ee8d35ull},  // swim
+      {0xb2d78a015962ca46ull, 0xd32d9b20b9033af7ull},  // twolf
+      {0x4bf5c30a51c4f226ull, 0x4b79a220393871cdull},  // vortex
+      {0x771919c351e6bb86ull, 0x381be799d6f43293ull},  // vpr
+      {0xfb3f375724f205e6ull, 0xd83f55bf9823dd5cull},  // wupwise
+  };
+  for (const auto& [depth, pinned] :
+       {std::pair{WayCount{128}, &pinned128}, std::pair{WayCount{48}, &pinned48}}) {
+    ASSERT_EQ(pinned->size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const Pin got = digests(suite[i], depth);
+      EXPECT_EQ(got.stream, (*pinned)[i].stream) << suite[i].name << " depth " << depth;
+      EXPECT_EQ(got.state, (*pinned)[i].state) << suite[i].name << " depth " << depth;
+    }
   }
 }
 
