@@ -93,12 +93,8 @@ void ComponentAuditor::run(const trace::SyntheticTraceGenerator& generator,
         std::to_string(capacity));
   check(report, generator.ring_mask_ + 1 == capacity, object, "ring_mask",
         std::to_string(capacity - 1), std::to_string(generator.ring_mask_));
-  check(report,
-        generator.recency_entries_.size() ==
-            std::size_t{config.num_sets} * capacity,
-        object, "ring_storage",
-        std::to_string(std::size_t{config.num_sets} * capacity) + " entries",
-        std::to_string(generator.recency_entries_.size()) + " entries");
+  check(report, generator.recency_ids_ != nullptr, object, "ring_storage",
+        "allocated id rings", "none (moved-from generator)");
   check(report,
         generator.recency_heads_.size() == config.num_sets &&
             generator.recency_sizes_.size() == config.num_sets,
@@ -121,10 +117,8 @@ void ComponentAuditor::run(const trace::SyntheticTraceGenerator& generator,
   check(report, std::has_single_bit(config.num_sets), object, "set_geometry",
         "power-of-two num_sets", std::to_string(config.num_sets));
   if (!report.ok()) return;  // geometry is broken; ring walks would be UB
-  // Block layout (fresh_block): | core (top 12b) | unique id | set index |.
-  const auto set_bits =
-      static_cast<std::uint32_t>(std::countr_zero(config.num_sets));
-  const std::uint64_t id_mask = (std::uint64_t{1} << (52 - set_bits)) - 1;
+  // Rings hold ids, so every live entry addresses its own core and set by
+  // construction; restore_state checks the addresses it narrows to ids.
   for (std::uint32_t set = 0; set < config.num_sets; ++set) {
     const std::uint32_t head = generator.recency_heads_[set];
     const std::uint32_t size = generator.recency_sizes_[set];
@@ -133,26 +127,18 @@ void ComponentAuditor::run(const trace::SyntheticTraceGenerator& generator,
     check(report, size <= config.max_depth, object, "ring_size",
           "<= " + std::to_string(config.max_depth), std::to_string(size), set);
     if (head >= capacity || size > config.max_depth) continue;
-    const BlockAddress* ring =
-        generator.recency_entries_.data() + std::size_t{set} * capacity;
-    std::set<BlockAddress> seen;
+    const trace::SyntheticTraceGenerator::BlockId* ring =
+        generator.recency_ids_.get() + std::size_t{set} * capacity;
+    std::set<trace::SyntheticTraceGenerator::BlockId> seen;
     for (std::uint32_t depth = 0; depth < size; ++depth) {
-      const BlockAddress block = ring[(head + depth) & generator.ring_mask_];
-      check(report,
-            (block & (config.num_sets - 1)) == set &&
-                (block >> 52) == config.core,
-            object, "ring_addressing",
-            "set bits " + std::to_string(set) + ", core stamp " +
-                std::to_string(config.core),
-            "block " + std::to_string(block), set);
-      check(report, ((block >> set_bits) & id_mask) < generator.next_block_id_,
-            object, "ring_entry",
+      const auto id = ring[(head + depth) & generator.ring_mask_];
+      check(report, id < generator.next_block_id_, object, "ring_entry",
             "block id below allocation counter " +
                 std::to_string(generator.next_block_id_),
-            std::to_string((block >> set_bits) & id_mask), set);
-      check(report, seen.insert(block).second, object, "ring_uniqueness",
+            std::to_string(id), set);
+      check(report, seen.insert(id).second, object, "ring_uniqueness",
             "each block at most once per recency window",
-            "block " + std::to_string(block) + " duplicated", set);
+            "block id " + std::to_string(id) + " duplicated", set);
     }
   }
 }

@@ -41,11 +41,11 @@ AuditReport audit_noc_fabric(const noc::Noc& noc);
 AuditReport audit_dram_channel(const mem::Dram& dram);
 
 /// SyntheticTraceGenerator: ring geometry (power-of-two capacity covering
-/// max_depth, mask == capacity - 1, flat arrays sized num_sets x capacity),
-/// per-set ring legality (head within the ring, size within max_depth),
-/// every live block id below the allocation counter, no block listed twice
-/// in one set's recency window, and batch quiescence (audits run only at
-/// checkpoints, where no next_batch() may be outstanding).
+/// max_depth, mask == capacity - 1, id rings allocated, per-set tables
+/// sized num_sets), per-set ring legality (head within the ring, size
+/// within max_depth), every live block id below the allocation counter, no
+/// id listed twice in one set's recency window, and a live batch's undo
+/// log still rewindable.
 AuditReport audit_trace_generator(const trace::SyntheticTraceGenerator& generator);
 
 /// StackProfiler: derived set/sampling masks match the config they were

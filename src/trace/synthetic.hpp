@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -42,6 +43,12 @@ struct GeneratorConfig {
 /// paper's entire mechanism rests on.
 class SyntheticTraceGenerator {
  public:
+  /// A block's per-core unique id, the middle field of its address (see
+  /// fresh_block). Recency rings store ids, not addresses.
+  using BlockId = std::uint32_t;
+  /// Ids a generator can hand out: fresh_block fails closed at this count.
+  static constexpr std::uint64_t kBlockIdLimit = std::uint64_t{1} << 32;
+
   SyntheticTraceGenerator(const WorkloadModel& model, const GeneratorConfig& config,
                           std::uint64_t seed);
 
@@ -78,7 +85,8 @@ class SyntheticTraceGenerator {
   /// Rewinds the generator to the state a fresh
   /// `SyntheticTraceGenerator(model, config(), seed)` would have — new
   /// model and RNG stream, empty recency rings, block counter at zero —
-  /// without freeing or reallocating the ring storage. Illegal while a
+  /// without freeing, reallocating or rewriting the ring storage (only the
+  /// live windows are state). Illegal while a
   /// batch is outstanding. Snapshot bytes after reset match a fresh
   /// generator's.
   void reset_in_place(const WorkloadModel& model, std::uint64_t seed);
@@ -90,14 +98,16 @@ class SyntheticTraceGenerator {
   std::uint64_t blocks_allocated() const { return next_block_id_; }
 
   /// Serializes the model name, RNG state, the per-set live windows of the
-  /// recency rings and the block counter. A window is written MRU first
-  /// behind the set sizes and the total live count; ring heads and dead
-  /// slots are not state (no access reads them), so a sampled boundary
-  /// costs its live entries, not num_sets x ring capacity. Restore asserts
-  /// the geometry echo, every size <= max_depth and the live count, lays
-  /// each window at the ring's end (the layout of a set that never
-  /// wrapped), and re-resolves the model by name from the SPEC2000
-  /// registry (the sampler is rebuilt deterministically).
+  /// recency rings and the block counter. A window is written MRU first, as
+  /// 64-bit block addresses, behind the set sizes and the total live count;
+  /// ring heads and dead slots are not state (no access reads them), so a
+  /// sampled boundary costs its live entries, not num_sets x ring capacity.
+  /// Restore asserts the geometry echo, every size <= max_depth, the live
+  /// count, that each entry decodes to this core and its own set with an id
+  /// below 2^32, and a block counter of at most 2^32. It lays each window at
+  /// the ring's end (the layout of a set that never wrapped) and re-resolves
+  /// the model by name from the SPEC2000 registry (the sampler is rebuilt
+  /// deterministically).
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -107,19 +117,21 @@ class SyntheticTraceGenerator {
 
   /// Undo record for one batched access, applied in reverse order by
   /// truncate_batch. A fresh insert (depth == kUndoFresh) restores the
-  /// slot the insert overwrote: when the ring capacity equals max_depth
-  /// (any power-of-two depth, production's 128 included) and the set is
-  /// full, that slot held the LRU entry, which the rewind must bring back.
+  /// slot the insert overwrote: when the set is full and the ring capacity
+  /// equals max_depth (any power-of-two depth, production's 128 included),
+  /// that slot held the LRU entry, which the rewind must bring back. Any
+  /// other overwritten slot was dead, so it is neither read nor restored.
   /// A re-touch at depth d runs the inverse rotation.
   struct UndoRecord {
     std::uint32_t set = 0;
     std::uint32_t depth = 0;
     std::uint32_t old_size = 0;
-    BlockAddress overwritten = 0;
+    BlockId overwritten = 0;
   };
   static constexpr std::uint32_t kUndoFresh = 0xFFFFFFFFu;
 
-  BlockAddress fresh_block(std::uint32_t set);
+  BlockId fresh_block();
+  BlockAddress block_address(BlockId id, std::uint32_t set) const;
   template <bool Record>
   MemoryAccess produce();
   void undo(const UndoRecord& record);
@@ -129,12 +141,15 @@ class SyntheticTraceGenerator {
   common::Rng rng_;
   // NOLINTNEXTLINE(bacp-snapshot-fields): rebuilt deterministically from the model on restore (see save_state doc)
   common::DiscreteSampler depth_sampler_;
-  // Per-set MRU-first recency lists stored as ring buffers in one flat
-  // array (set s owns the ring_capacity_-sized stride starting at
+  // Per-set MRU-first recency lists of block ids stored as ring buffers in
+  // one flat array (set s owns the ring_capacity_-sized stride starting at
   // s * ring_capacity_; logical depth d lives at (head + d) & ring_mask_).
   // A cold insert is head-decrement + one store instead of shifting the
   // whole list; a depth-d re-touch shifts only the d entries above it.
-  std::vector<BlockAddress> recency_entries_;
+  // Only a set's live window is ever read, so the array is allocated
+  // uninitialized and dead slots keep whatever they held.
+  // NOLINTNEXTLINE(bacp-reset-fields): reset empties every window through recency_sizes_; dead slots are never read, so the ids are not rewritten
+  std::unique_ptr<BlockId[]> recency_ids_;
   std::vector<std::uint32_t> recency_heads_;
   std::vector<std::uint32_t> recency_sizes_;
   // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived geometry (bit_ceil of max_depth); never rewound

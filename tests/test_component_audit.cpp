@@ -43,12 +43,12 @@ struct GeneratorTestPeer {
   static std::uint32_t& size(SyntheticTraceGenerator& generator, std::uint32_t set) {
     return generator.recency_sizes_[set];
   }
-  static BlockAddress& entry(SyntheticTraceGenerator& generator, std::uint32_t set,
-                             std::uint32_t depth) {
+  static SyntheticTraceGenerator::BlockId& entry(SyntheticTraceGenerator& generator,
+                                                 std::uint32_t set, std::uint32_t depth) {
     const std::uint32_t capacity = generator.ring_capacity_;
     const std::uint32_t slot =
         (generator.recency_heads_[set] + depth) & generator.ring_mask_;
-    return generator.recency_entries_[std::size_t{set} * capacity + slot];
+    return generator.recency_ids_[std::size_t{set} * capacity + slot];
   }
   static bool& live_batch(SyntheticTraceGenerator& generator) {
     return generator.live_batch_;
@@ -226,7 +226,8 @@ TEST(ComponentAuditGenerator, KillsBlockBeyondAllocationCounter) {
   ASSERT_GT(trace::GeneratorTestPeer::size(generator, 0), 0u);
   // A block id the allocator never handed out: the signature of a rewind
   // path that restored the counter but not the ring bytes.
-  trace::GeneratorTestPeer::entry(generator, 0, 0) = ~BlockAddress{0};
+  trace::GeneratorTestPeer::entry(generator, 0, 0) =
+      ~trace::SyntheticTraceGenerator::BlockId{0};
   require_violation(audit_trace_generator(generator), "ring_entry");
 }
 

@@ -27,6 +27,11 @@ struct GeneratorTestPeer {
   static std::uint32_t capacity(const SyntheticTraceGenerator& generator) {
     return generator.ring_capacity_;
   }
+  /// Bytes of the recency rings: one slot per set per ring position.
+  static std::size_t ring_bytes(const SyntheticTraceGenerator& generator) {
+    return sizeof(generator.recency_ids_[0]) * generator.config().num_sets *
+           generator.ring_capacity_;
+  }
 };
 
 namespace {
@@ -114,12 +119,19 @@ std::vector<std::uint8_t> generator_bytes(const SyntheticTraceGenerator& generat
   return bytes;
 }
 
+/// Malformations a test plants in a generator_payload(); zero plants none.
+struct PayloadFault {
+  std::uint64_t count_skew = 0;      ///< added to the stored live count
+  BlockAddress first_entry_xor = 0;  ///< bits flipped in the first window entry
+  std::uint64_t counter_skew = 0;    ///< added to the stored block counter
+};
+
 /// A Generators payload written field by field: set s holds a window of
-/// sizes[s] distinct blocks stamped as fresh_block() would, and the stored
-/// live count is their total plus `count_skew` (nonzero malforms it).
+/// sizes[s] distinct blocks stamped as fresh_block() would, and the block
+/// counter is one past the highest id, each as `fault` malforms them.
 std::vector<std::uint8_t> generator_payload(const GeneratorConfig& config,
                                             const std::vector<std::uint32_t>& sizes,
-                                            std::uint64_t count_skew = 0) {
+                                            const PayloadFault& fault = {}) {
   std::vector<BlockAddress> windows;
   const auto set_bits = log2_floor(config.num_sets);
   for (std::uint32_t set = 0; set < config.num_sets; ++set) {
@@ -128,6 +140,7 @@ std::vector<std::uint8_t> generator_payload(const GeneratorConfig& config,
                         (std::uint64_t{windows.size()} << set_bits) | set);
     }
   }
+  if (!windows.empty()) windows.front() ^= fault.first_entry_xor;
   std::vector<std::uint8_t> bytes;
   snapshot::Writer writer(bytes);
   writer.u32(config.num_sets);
@@ -136,9 +149,9 @@ std::vector<std::uint8_t> generator_payload(const GeneratorConfig& config,
   writer.str("gzip");
   for (const std::uint64_t word : common::Rng(99, config.core).state()) writer.u64(word);
   writer.scalars(std::span<const std::uint32_t>(sizes));
-  writer.u64(windows.size() + count_skew);
+  writer.u64(windows.size() + fault.count_skew);
   writer.raw_scalars(std::span<const BlockAddress>(windows));
-  writer.u64(windows.size());  // block counter: every id above is in use
+  writer.u64(windows.size() + fault.counter_skew);  // every id above is in use
   return bytes;
 }
 
@@ -225,11 +238,78 @@ TEST(SyntheticGeneratorDeath, RestoreRejectsSizeAboveMaxDepth) {
 
 TEST(SyntheticGeneratorDeath, RestoreRejectsLiveCountMismatch) {
   const GeneratorConfig config = tiny_config();
-  const auto bytes =
-      generator_payload(config, std::vector<std::uint32_t>(config.num_sets, 4),
-                        /*count_skew=*/1);
+  const auto bytes = generator_payload(
+      config, std::vector<std::uint32_t>(config.num_sets, 4), {.count_skew = 1});
   SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
   EXPECT_DEATH(restore_bytes(generator, bytes), "live recency count");
+}
+
+TEST(SyntheticGeneratorDeath, RestoreRejectsEntryOutsideItsSet) {
+  // Rings hold ids and rebuild each address from the core and the set, so
+  // restore must refuse an entry that would not rebuild to itself: one
+  // with another set's index bits, and one with another core's stamp.
+  GeneratorConfig config = tiny_config();
+  config.core = 3;
+  const std::vector<std::uint32_t> sizes(config.num_sets, 4);
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  restore_bytes(generator, generator_payload(config, sizes));  // the clean payload
+  for (const BlockAddress flip : {BlockAddress{1}, BlockAddress{1} << 52}) {
+    SCOPED_TRACE("xor " + std::to_string(flip));
+    const auto bytes = generator_payload(config, sizes, {.first_entry_xor = flip});
+    EXPECT_DEATH(restore_bytes(generator, bytes), "outside its set or core");
+  }
+}
+
+TEST(SyntheticGeneratorDeath, RestoreRejectsEntryIdAboveThirtyTwoBits) {
+  // An address that names its own core and set but whose id field needs a
+  // 33rd bit cannot be narrowed into a ring slot.
+  const GeneratorConfig config = tiny_config();
+  const BlockAddress id_bit_32 = BlockAddress{1} << (log2_floor(config.num_sets) + 32);
+  const auto bytes = generator_payload(config, std::vector<std::uint32_t>(config.num_sets, 4),
+                                       {.first_entry_xor = id_bit_32});
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  EXPECT_DEATH(restore_bytes(generator, bytes), "id above 32 bits");
+}
+
+TEST(SyntheticGeneratorDeath, RestoreRejectsBlockCounterAboveThirtyTwoBits) {
+  // A counter of exactly 2^32 (every id handed out) restores; one more
+  // cannot have come from a generator.
+  const GeneratorConfig config = tiny_config();
+  const std::vector<std::uint32_t> sizes(config.num_sets, 4);
+  const std::uint64_t live = std::uint64_t{config.num_sets} * 4;
+  const std::uint64_t to_limit = SyntheticTraceGenerator::kBlockIdLimit - live;
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  restore_bytes(generator, generator_payload(config, sizes, {.counter_skew = to_limit}));
+  EXPECT_EQ(generator.blocks_allocated(), SyntheticTraceGenerator::kBlockIdLimit);
+  const auto bytes = generator_payload(config, sizes, {.counter_skew = to_limit + 1});
+  EXPECT_DEATH(restore_bytes(generator, bytes), "block counter above 2\\^32");
+}
+
+TEST(SyntheticGeneratorDeath, FreshBlockFailsClosedAtThirtyTwoBits) {
+  // With every id handed out, the next fresh insert aborts instead of
+  // wrapping onto an id that may still be live in a ring.
+  const GeneratorConfig config = tiny_config();
+  const std::vector<std::uint32_t> sizes(config.num_sets, 4);
+  const std::uint64_t to_limit =
+      SyntheticTraceGenerator::kBlockIdLimit - std::uint64_t{config.num_sets} * 4;
+  SyntheticTraceGenerator generator(spec2000_by_name("swim"), config, 1);
+  restore_bytes(generator, generator_payload(config, sizes, {.counter_skew = to_limit}));
+  EXPECT_DEATH(
+      {
+        for (int i = 0; i < 10'000; ++i) (void)generator.next();
+      },
+      "ran out of 32-bit block ids");
+}
+
+TEST(SyntheticGenerator, RingSlotHoldsAFourByteId) {
+  // Size guard: the recency rings are every System's largest structure
+  // (one per core). At the production geometry, 2048 sets x 128 slots, a
+  // ring array holds 4-byte ids, 1 MiB per core; 8-byte addresses would
+  // double it.
+  const GeneratorConfig config;
+  SyntheticTraceGenerator generator(spec2000_by_name("gzip"), config, 1);
+  EXPECT_EQ(GeneratorTestPeer::ring_bytes(generator), std::size_t{2048} * 128 * 4);
+  EXPECT_EQ(sizeof(SyntheticTraceGenerator::BlockId), 4u);
 }
 
 /// The defining property: the generated stream's MSA histogram converges to
