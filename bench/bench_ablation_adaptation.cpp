@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::uint64_t phase_instructions =
-      harness::read_u64(parser, harness::kInstrKnob, 8'000'000);
+      harness::read_positive_u64(parser, harness::kInstrKnob, 8'000'000);
   const Cycle epoch = harness::read_positive_u64(parser, harness::kEpochKnob, 1'500'000);
   const auto sweep_options = harness::SweepOptions::from_args(parser);
 

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   const auto options = obs::ReportOptions::from_args(parser);
 
   const std::uint64_t warmup = harness::read_u64(parser, harness::kWarmupKnob, 3'000'000);
-  const std::uint64_t accesses = harness::read_u64(parser, harness::kInstrKnob, 6'000'000);
+  const std::uint64_t accesses =
+      harness::read_positive_u64(parser, harness::kInstrKnob, 6'000'000);
   const std::uint64_t seed = harness::read_u64(parser, harness::kSimSeedKnob, 42);
   const auto sweep_options = harness::SweepOptions::from_args(parser);
   const auto mix = harness::table3_sets()[1].mix();  // Set2: capacity-diverse

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
   const auto options = obs::ReportOptions::from_args(parser);
 
-  const std::uint64_t instructions = harness::read_u64(parser, harness::kInstrKnob, 10'000'000);
+  const std::uint64_t instructions =
+      harness::read_positive_u64(parser, harness::kInstrKnob, 10'000'000);
   const std::uint64_t seed = harness::read_u64(parser, harness::kSimSeedKnob, 42);
   const auto sweep_options = harness::SweepOptions::from_args(parser);
   const auto mix = harness::table3_sets()[1].mix();  // Set2

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "harness/config_cli.hpp"
 #include "obs/report.hpp"
 #include "sim/system.hpp"
 #include "trace/mix.hpp"
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   const auto mix = trace::mix_from_names(names);
 
   const std::uint64_t instructions =
-      parser.get_u64_or_fail("instr", 4'000'000);
+      harness::read_positive_u64(parser, harness::kInstrKnob, 4'000'000);
 
   std::vector<sim::SystemResults> results;
   for (const auto policy :

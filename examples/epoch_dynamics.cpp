@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   config.finalize();
 
   sim::System system(config, mix);
-  system.run(parser.get_u64_or_fail("instr", 6'000'000));
+  system.run(harness::read_positive_u64(parser, harness::kInstrKnob, 6'000'000));
   const auto results = system.results();
 
   obs::Report report("epoch_dynamics", "Epoch-by-epoch Bank-aware allocations");

@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
     label = trace::mix_label(mix);
   }
 
-  const std::uint64_t instructions = parser.get_u64_or_fail("instr", 8'000'000);
+  const std::uint64_t instructions =
+      harness::read_positive_u64(parser, harness::kInstrKnob, 8'000'000);
   const std::uint64_t warmup = parser.get_u64_or_fail("warmup", instructions / 2);
 
   sim::SystemConfig config = sim::SystemConfig::baseline();

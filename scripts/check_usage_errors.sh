@@ -2,8 +2,8 @@
 # Count flags fail closed: each case below must exit 2 with a message that
 # names its flag, before the binary simulates anything or writes its JSON
 # artifact. The cases are the count flags each bench or example reads
-# itself, plus --epoch=0 through DetailedRunConfig in the two benches that
-# take it; the shared readers also have death tests.
+# itself, plus --epoch=0 and --instr=0 through DetailedRunConfig in the two
+# benches that take it; the shared readers also have death tests.
 #
 #   scripts/check_usage_errors.sh BENCH_DIR EXAMPLES_DIR
 #
@@ -44,8 +44,13 @@ expect() {
 
 expect "${bench_dir}" bench_fig8_miss_rate --sets=0
 expect "${bench_dir}" bench_fig8_miss_rate --epoch=0
+expect "${bench_dir}" bench_fig8_miss_rate --instr=0
 expect "${bench_dir}" bench_perf_throughput --epoch=0
+expect "${bench_dir}" bench_perf_throughput --instr=0
 expect "${bench_dir}" bench_ablation_adaptation --epoch=0
+expect "${bench_dir}" bench_ablation_adaptation --instr=0
+expect "${bench_dir}" bench_ablation_aggregation --instr=0
+expect "${bench_dir}" bench_ablation_epoch_length --instr=0
 expect "${bench_dir}" bench_ablation_maxcap --trials=0
 expect "${bench_dir}" bench_ablation_policies --trials=0
 expect "${bench_dir}" bench_sched_churn --epoch=0
@@ -58,6 +63,9 @@ expect "${bench_dir}" bench_sampling_error --interval-instr=0
 expect "${bench_dir}" bench_sampling_error --sampled=4294967297
 expect "${bench_dir}" bench_sampling_error --intervals=4294967297
 expect "${examples_dir}" epoch_dynamics --epoch=0
+expect "${examples_dir}" epoch_dynamics --instr=0
+expect "${examples_dir}" consolidated_server --instr=0
 expect "${examples_dir}" scaling_study --trials=0
 expect "${examples_dir}" simulate --set=Set1 --epoch=0
+expect "${examples_dir}" simulate --set=Set1 --instr=0
 exit "${failed}"

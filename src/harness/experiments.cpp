@@ -23,7 +23,8 @@ std::vector<std::pair<std::string, std::string>> DetailedRunConfig::cli_flags() 
 DetailedRunConfig DetailedRunConfig::from_args(const common::ArgParser& parser) {
   DetailedRunConfig config;
   config.warmup_instructions = read_u64(parser, kWarmupKnob, config.warmup_instructions);
-  config.measure_instructions = read_u64(parser, kInstrKnob, config.measure_instructions);
+  config.measure_instructions =
+      read_positive_u64(parser, kInstrKnob, config.measure_instructions);
   config.epoch_cycles = read_positive_u64(parser, kEpochKnob, config.epoch_cycles);
   config.seed = read_u64(parser, kSimSeedKnob, config.seed);
   return config;

@@ -97,6 +97,22 @@ TEST(DetailedRunConfigDeath, ZeroEpochExits2) {
               "--epoch=0: must be at least 1");
 }
 
+// A zero measurement window would run one access per core and report every
+// ratio as 1, so --instr=0 is a usage error too. --warmup=0 stays legal: it
+// asks for a cold start.
+TEST(DetailedRunConfigDeath, ZeroInstrExits2) {
+  common::ArgParser cold(DetailedRunConfig::cli_flags());
+  const char* cold_argv[] = {"prog", "--warmup=0"};
+  ASSERT_TRUE(cold.parse(2, cold_argv));
+  EXPECT_EQ(DetailedRunConfig::from_args(cold).warmup_instructions, 0u);
+
+  common::ArgParser parser(DetailedRunConfig::cli_flags());
+  const char* argv[] = {"prog", "--instr=0"};
+  ASSERT_TRUE(parser.parse(2, argv));
+  EXPECT_EXIT((void)DetailedRunConfig::from_args(parser), ::testing::ExitedWithCode(2),
+              "--instr=0: must be at least 1");
+}
+
 TEST(SetComparison, RatiosComputeAgainstNoPartition) {
   SetComparison comparison;
   comparison.none.set_l2_misses(1000).set_mean_cpi(2.0);
