@@ -45,9 +45,8 @@ std::vector<std::string> TimeSeries::names() const {
   return out;
 }
 
-void TimeSeries::clear() {
-  index_.clear();
-  columns_.clear();
+void TimeSeries::clear_rows() {
+  for (auto& samples : columns_) samples.clear();
   epochs_ = 0;
 }
 

@@ -29,7 +29,7 @@ namespace bacp::obs {
 /// emitted artifacts.
 class TimeSeries {
  public:
-  /// Stable index of an interned series. Invalidated by clear().
+  /// Stable index of an interned series; clear_rows() keeps it valid.
   using SeriesHandle = std::size_t;
 
   /// Opens the next row. All record() calls until the next begin_epoch()
@@ -50,7 +50,10 @@ class TimeSeries {
   /// Name-sorted list of recorded series.
   std::vector<std::string> names() const;
 
-  void clear();
+  /// Drops every row but keeps the interned series, so handles stay valid
+  /// and columns keep their storage. Emptied columns are unreported again,
+  /// so the outputs equal those of a fresh recorder.
+  void clear_rows();
 
   /// {"epochs": N, "series": {name: [v0, v1, ...]}} with sorted names.
   Json to_json() const;

@@ -347,21 +347,27 @@ void System::record_epoch_series() {
 }
 
 void System::reset_epoch_tracking() {
-  epoch_series_.clear();
-  epoch_handles_.ways.clear();
-  epoch_handles_.cpi.clear();
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    const std::string prefix = "core" + std::to_string(core) + ".";
-    epoch_handles_.ways.push_back(epoch_series_.intern(prefix + "ways"));
-    epoch_handles_.cpi.push_back(epoch_series_.intern(prefix + "cpi"));
+  // The series names are fixed per System, so they are interned once; every
+  // later reset (each tenant epoch of a sched::Service) drops only the rows
+  // and keeps the handles and column storage.
+  if (epoch_handles_.ways.empty()) {
+    for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
+      const std::string prefix = "core" + std::to_string(core) + ".";
+      epoch_handles_.ways.push_back(epoch_series_.intern(prefix + "ways"));
+      epoch_handles_.cpi.push_back(epoch_series_.intern(prefix + "cpi"));
+    }
+    epoch_handles_.promotions = epoch_series_.intern("promotions");
+    epoch_handles_.demotions = epoch_series_.intern("demotions");
+    epoch_handles_.offview_hits = epoch_series_.intern("offview_hits");
+    epoch_handles_.dram_reads = epoch_series_.intern("dram_reads");
+    epoch_handles_.dram_writebacks = epoch_series_.intern("dram_writebacks");
+    epoch_handles_.noc_queue_cycles = epoch_series_.intern("noc_queue_cycles");
+  } else {
+    epoch_series_.clear_rows();
   }
-  epoch_handles_.promotions = epoch_series_.intern("promotions");
-  epoch_handles_.demotions = epoch_series_.intern("demotions");
-  epoch_handles_.offview_hits = epoch_series_.intern("offview_hits");
-  epoch_handles_.dram_reads = epoch_series_.intern("dram_reads");
-  epoch_handles_.dram_writebacks = epoch_series_.intern("dram_writebacks");
-  epoch_handles_.noc_queue_cycles = epoch_series_.intern("noc_queue_cycles");
-  epoch_baseline_ = EpochBaseline{};
+  // Counter baselines restart at zero; the per-core vectors keep their storage.
+  epoch_baseline_ = EpochBaseline{std::move(epoch_baseline_.instructions),
+                                  std::move(epoch_baseline_.cycles)};
   epoch_baseline_.instructions.resize(config_.geometry.num_cores);
   epoch_baseline_.cycles.resize(config_.geometry.num_cores);
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {

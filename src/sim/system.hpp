@@ -274,9 +274,8 @@ class System {
 
   /// Interned TimeSeries column handles for every series the epoch
   /// recorder emits, so an epoch boundary performs no string building or
-  /// map lookups ("core<N>.ways" etc. are interned once per reset, not
-  /// rebuilt per epoch). Rebuilt by reset_epoch_tracking() because
-  /// TimeSeries::clear() invalidates handles.
+  /// map lookups ("core<N>.ways" etc. are interned once per System by the
+  /// first reset_epoch_tracking(); TimeSeries::clear_rows() keeps them).
   struct EpochSeriesHandles {
     std::vector<obs::TimeSeries::SeriesHandle> ways;  // per core
     std::vector<obs::TimeSeries::SeriesHandle> cpi;   // per core
@@ -375,7 +374,7 @@ class System {
   std::uint64_t epochs_ = 0;
   // NOLINTNEXTLINE(bacp-snapshot-fields): observability sink, harvested by reporting; reset (not replayed) on restore
   obs::TimeSeries epoch_series_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields): interned handles into epoch_series_; re-interned by reset_epoch_tracking() on restore
+  // NOLINTNEXTLINE(bacp-snapshot-fields): interned handles into epoch_series_; fixed per System, kept by reset_epoch_tracking() on restore
   EpochSeriesHandles epoch_handles_;
   // NOLINTNEXTLINE(bacp-snapshot-fields): per-epoch delta baseline; reset with the series on restore
   EpochBaseline epoch_baseline_;
