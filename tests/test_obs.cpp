@@ -200,6 +200,25 @@ TEST(TimeSeries, JsonShape) {
   EXPECT_EQ(json.dump(), "{\"epochs\":2,\"series\":{\"a\":[1,3],\"b\":[2,4]}}");
 }
 
+TEST(TimeSeries, ClearRowsKeepsHandlesAndEmitsLikeAFreshRecorder) {
+  // sim::System resets its window every tenant epoch; the interned handles
+  // must survive, and the emptied columns must not show in the output.
+  TimeSeries series;
+  const auto a = series.intern("a");
+  const auto b = series.intern("b");
+  series.begin_epoch();
+  series.record(a, 1.0);
+  series.record(b, 2.0);
+  series.clear_rows();
+  EXPECT_EQ(series.num_epochs(), 0u);
+  EXPECT_TRUE(series.names().empty());
+  EXPECT_EQ(series.to_json().dump(), TimeSeries().to_json().dump());
+  EXPECT_EQ(series.intern("b"), b);
+  series.begin_epoch();
+  series.record(a, 3.0);
+  EXPECT_EQ(series.to_json().dump(), "{\"epochs\":1,\"series\":{\"a\":[3]}}");
+}
+
 // ---------------------------------------------------------- PhaseTimers --
 
 TEST(PhaseTimers, ScopesAccumulateByName) {
