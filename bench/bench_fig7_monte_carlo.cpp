@@ -4,8 +4,8 @@
 // averages (paper: Unrestricted ~30% reduction, Bank-aware ~27%).
 //
 // Flags: --trials, --seed, --threads, --sampled, --sampled-intervals,
-// --sampled-interval-instr, --sampled-warmup, --snapshot-bank, --pool,
-// --mmap, --json-out.
+// --sampled-interval-instr, --sampled-warmup, --snapshot-bank, --mmap,
+// --json-out.
 
 #include <iostream>
 

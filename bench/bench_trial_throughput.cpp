@@ -14,8 +14,8 @@
 //               boundary state, then the timed sweep replays the identical
 //               trials from it. This is the production shape (re-sweeps
 //               and processes share a bank), and it isolates per-trial
-//               *start* cost — System setup, snapshot load, restore —
-//               which pooling + zero-copy restore attack, over the
+//               *start* cost — System construction, snapshot load,
+//               restore — which zero-copy restore attacks, over the
 //               irreducible detailed-interval floor.
 //
 // Both surfaces report allocs/trial through the same global operator-new
@@ -28,7 +28,7 @@
 //
 // Flags: --trials (analytic trials), --sampled-trials, --seed, --threads,
 // --sampled, --sampled-intervals, --sampled-interval-instr,
-// --sampled-warmup, --snapshot-bank, --pool, --mmap, --json-out. Scale
+// --sampled-warmup, --snapshot-bank, --mmap, --json-out. Scale
 // defaults are laptop-friendly; CI passes them explicitly.
 
 #include <atomic>
@@ -64,8 +64,8 @@ void* counted_alloc(std::size_t size) {
 }
 
 /// FNV-1a over the bit pattern of a double: the summary means must land on
-/// identical bytes at a fixed seed regardless of thread count, pool size or
-/// restore path — the determinism contract this bench pins.
+/// identical bytes at a fixed seed regardless of thread count or restore
+/// path — the determinism contract this bench pins.
 std::uint64_t fold_bits(std::uint64_t hash, double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
 
   report.metric("checksum", checksum);
   report.note("trials/sec is the headline; checksum pins the summary ratios "
-              "(must not drift across pool size or restore path at a fixed "
-              "seed)");
+              "(must not drift across thread count or restore path at a "
+              "fixed seed)");
   return report.emit(std::cout, options) ? 0 : 1;
 }

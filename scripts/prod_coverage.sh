@@ -100,11 +100,9 @@ for threads in 1 4; do
   run bench_fig7_monte_carlo "${sampled[@]}" --threads "${threads}" \
     --json-out "${runs}/mc-sampled-t${threads}.json"
 done
-for pool in auto off; do
-  for mmap in auto off; do
-    run bench_fig7_monte_carlo "${sampled[@]}" --pool "${pool}" --mmap "${mmap}" \
-      --snapshot-bank "${runs}/sampled-bank" --json-out "${runs}/mc-${pool}-${mmap}.json"
-  done
+for mmap in auto off; do
+  run bench_fig7_monte_carlo "${sampled[@]}" --mmap "${mmap}" \
+    --snapshot-bank "${runs}/sampled-bank" --json-out "${runs}/mc-${mmap}.json"
 done
 run bench_trial_throughput --threads 4
 run bench_trial_throughput --trials 4000 --sampled-trials 6 --json-out "${runs}/trial.json"
@@ -192,7 +190,7 @@ awk -v allow_path="${allow#"${root}/"}" '
     sub(/^[[:space:]]+/, "", f[1]); sub(/[[:space:]]+$/, "", f[n])
     where = allow_path ":" FNR ": "
     if (n < 3 || n > 4) { fail(where "expected reason | file | function | evidence"); next }
-    if (f[1] !~ /^(audit|input|observer|pool)$/) { fail(where "unknown reason \"" f[1] "\""); next }
+    if (f[1] !~ /^(audit|input|observer)$/) { fail(where "unknown reason \"" f[1] "\""); next }
     if (f[1] == "observer" && f[4] == "") { fail(where "an observer entry names the tests or audits that read it"); next }
     if (f[3] == "*") {
       if (!(f[2] in functions_in)) fail(where f[2] " has no instrumented functions")

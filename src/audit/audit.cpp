@@ -23,7 +23,6 @@ const char* to_string(Structure structure) {
     case Structure::Sched: return "sched";
     case Structure::Sampling: return "sampling";
     case Structure::Component: return "component";
-    case Structure::Pool: return "pool";
   }
   return "?";
 }

@@ -36,7 +36,6 @@ enum class Structure : std::uint8_t {
   Sampling,   ///< interval-sampling plan legality (medoids, assignment, weights)
   Component,  ///< single-component state (NoC, DRAM, generators, profilers,
               ///< core timers, epoch series — see component_audit.hpp)
-  Pool,       ///< harness::SystemPool lease bookkeeping (see pool_audit.hpp)
 };
 const char* to_string(Structure structure);
 

@@ -57,26 +57,6 @@ SetAssocCache::SetAssocCache(const Config& config)
   rebuild_owned_ways();
 }
 
-void SetAssocCache::reset_in_place() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(allocators_.begin(), allocators_.end(), kInvalidCore);
-  SetMeta initial;
-  initial.head = 0;
-  initial.tail = static_cast<std::uint8_t>(config_.ways - 1);
-  std::fill(meta_.begin(), meta_.end(), initial);
-  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
-    for (WayIndex way = 0; way < config_.ways; ++way) {
-      links_[link_index(set, way)] =
-          way == 0 ? kNil : static_cast<std::uint8_t>(way - 1);
-      links_[link_index(set, way) + 1] =
-          way + 1 == config_.ways ? kNil : static_cast<std::uint8_t>(way + 1);
-    }
-  }
-  std::fill(way_masks_.begin(), way_masks_.end(), ~CoreMask{0});
-  rebuild_owned_ways();
-  stats_.clear();
-}
-
 Line SetAssocCache::line_at(std::uint32_t set, WayIndex way) const {
   const std::size_t index = line_index(set, way);
   Line line;

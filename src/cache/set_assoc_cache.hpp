@@ -138,12 +138,6 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void clear_stats() { stats_.clear(); }
 
-  /// Rewinds the cache to its just-constructed state — all lines invalid,
-  /// construction recency order, unpartitioned way masks, zero statistics —
-  /// without freeing or reallocating any storage. A snapshot taken after
-  /// reset_in_place() is byte-identical to one taken after construction.
-  void reset_in_place();
-
   /// Count of valid lines (for occupancy tests).
   std::uint64_t valid_lines() const;
 

@@ -91,14 +91,6 @@ class MoesiDirectory {
   const CoherenceStats& stats() const { return stats_; }
   void clear_stats() { stats_ = CoherenceStats{}; }
 
-  /// Rewinds the directory to its just-constructed state: every entry
-  /// dropped (the table's slab is kept — no reallocation) and statistics
-  /// zeroed. Snapshot bytes after reset match a fresh directory's.
-  void reset_in_place() {
-    entries_.clear();
-    clear_stats();
-  }
-
   /// Serializes every directory entry (in key order, so identical state is
   /// identical bytes) plus statistics. Restore asserts the core-count echo.
   void save_state(snapshot::Writer& writer) const;
@@ -121,7 +113,6 @@ class MoesiDirectory {
     MoesiState owner_state = MoesiState::Invalid;
   };
 
-  // NOLINTNEXTLINE(bacp-reset-fields): immutable geometry echo; pinned at construction, never rewound
   std::uint32_t num_cores_;
   // Open-addressing table: directory entries come and go on every L1
   // fill/evict, and std::unordered_map's node allocation churn on that path

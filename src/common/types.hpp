@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -42,9 +43,7 @@ constexpr bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 /// Floor log2. Precondition: x != 0.
 constexpr std::uint32_t log2_floor(std::uint64_t x) {
-  std::uint32_t r = 0;
-  while (x >>= 1) ++r;
-  return r;
+  return static_cast<std::uint32_t>(std::bit_width(x)) - 1;
 }
 
 /// Ceiling division for unsigned integers.

@@ -118,24 +118,6 @@ void CoreTimer::rebind(const CoreTimerConfig& config) {
   }
 }
 
-void CoreTimer::reset_in_place(const CoreTimerConfig& config) {
-  BACP_ASSERT(config.base_cpi > 0.0, "base_cpi must be positive");
-  BACP_ASSERT(config.instructions_per_l2_access > 0.0,
-              "instructions_per_l2_access must be positive");
-  BACP_ASSERT(config.mlp_window >= 1, "mlp_window must be >= 1");
-  BACP_ASSERT(config.gap_jitter >= 0.0 && config.gap_jitter < 1.0,
-              "gap_jitter must be in [0, 1)");
-  config_ = config;
-  rng_ = common::Rng(config.seed, config.core);
-  time_ = 0.0;
-  instructions_ = 0.0;
-  mark_time_ = 0.0;
-  mark_instructions_ = 0.0;
-  pending_gap_ = -1.0;
-  outstanding_.clear();
-  outstanding_.reserve(config_.mlp_window + 1);
-}
-
 void CoreTimer::mark() {
   mark_time_ = time_;
   mark_instructions_ = instructions_;

@@ -75,13 +75,6 @@ class CoreTimer {
   /// from its own stream.
   void rebind(const CoreTimerConfig& config);
 
-  /// Rewinds the timer to the state a fresh `CoreTimer(config)` would have
-  /// — clocks, marks and the in-flight window at zero, a fresh RNG stream —
-  /// without freeing the window's storage. Unlike rebind(), which carries
-  /// the clocks forward for a mid-run tenant swap, this is a cold reset:
-  /// snapshot bytes afterwards match a fresh timer's.
-  void reset_in_place(const CoreTimerConfig& config);
-
   /// Advances the local clock to `now` if it is behind (never rewinds).
   /// Used when a core slot rejoins the simulation after sitting idle: its
   /// first access must issue at current global time, not at the frozen

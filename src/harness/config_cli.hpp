@@ -61,10 +61,6 @@ inline constexpr Knob kSampledIntervalInstrKnob{
 inline constexpr Knob kSampledWarmupKnob{
     "sampled-warmup",
     "detailed warm-up instructions before a sampled trial's first interval"};
-inline constexpr Knob kPoolKnob{
-    "pool",
-    "System pooling for sampled trials: auto|off (speed dial; "
-    "results are byte-identical either way)"};
 inline constexpr Knob kMmapKnob{
     "mmap",
     "snapshot-bank read path: auto = mmap zero-copy, off = buffered "
@@ -81,10 +77,10 @@ std::string read_snapshot_bank(const common::ArgParser& parser);
 /// deterministic for any worker count, so this is purely a speed dial.
 std::size_t read_threads(const common::ArgParser& parser, std::size_t fallback = 0);
 
-/// Reads an auto/off speed-dial knob (kPoolKnob, kMmapKnob): "auto" or "on"
-/// enables, "off" disables, anything else is a fatal usage error. These
-/// knobs never change results — the artifact matrix in CI proves it — so
-/// their values are not echoed into report meta.
+/// Reads an auto/off speed-dial knob (kMmapKnob): "auto" or "on" enables,
+/// "off" disables, anything else is a fatal usage error. The knob never
+/// changes results — CI's artifact comparison proves it — so its value is
+/// not echoed into report meta.
 bool read_toggle(const common::ArgParser& parser, const Knob& knob, bool fallback);
 
 }  // namespace bacp::harness

@@ -13,7 +13,6 @@
 #include "common/thread_pool.hpp"
 #include "harness/config_cli.hpp"
 #include "harness/snapshot_cache.hpp"
-#include "harness/system_pool.hpp"
 #include "msa/miss_curve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
@@ -34,7 +33,6 @@ std::vector<std::pair<std::string, std::string>> MonteCarloConfig::cli_flags() {
       value_flag(kSampledIntervalInstrKnob),
       value_flag(kSampledWarmupKnob),
       value_flag(kSnapshotBankKnob),
-      value_flag(kPoolKnob),
       value_flag(kMmapKnob),
   };
 }
@@ -54,7 +52,6 @@ MonteCarloConfig MonteCarloConfig::from_args(const common::ArgParser& parser) {
       parser, kSampledIntervalInstrKnob, config.sampled_interval_instructions);
   config.sampled_warmup = read_u64(parser, kSampledWarmupKnob, config.sampled_warmup);
   config.snapshot_bank = read_snapshot_bank(parser);
-  config.pool = read_toggle(parser, kPoolKnob, config.pool);
   config.mmap = read_toggle(parser, kMmapKnob, config.mmap);
   return config;
 }
@@ -134,7 +131,6 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
   SnapshotCache snapshot_cache;
   std::unique_ptr<CacheSnapshotStore> snapshot_store;
   sampling::SampledRunConfig sampled_run;
-  SystemPool system_pool;
   if (config.sampled_k > 0) {
     sampled_config = sampling::sampled_system_config(
         config.geometry, config.seed, config.sampled_interval_instructions);
@@ -177,15 +173,9 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
         curves, bank_aware.allocation.ways_per_core);
 
     if (config.sampled_k > 0) {
-      // Lease a pooled System for the trial (constructed once per worker,
-      // rewound per trial by run_sampled_mix's reuse path); the lease
-      // returns it to the pool when the trial's estimate is done.
-      SystemPool::Lease lease;
-      if (config.pool) lease = system_pool.acquire(sampled_config, result.mix);
       const sampling::SampledEstimate estimate =
           sampling::run_sampled_mix(sampled_config, result.mix, sampled_run,
-                                    profile_bank.get(), snapshot_store.get(),
-                                    lease.get());
+                                    profile_bank.get(), snapshot_store.get());
       result.sampled.evaluated = true;
       result.sampled.miss_ratio = estimate.miss_ratio;
       result.sampled.miss_ratio_ci_half = estimate.miss_ratio_ci_half;

@@ -35,11 +35,6 @@ struct MonteCarloConfig {
   /// sweeps and processes (SnapshotCache::set_file_bank); empty = in-memory
   /// reuse only. Sampled mode only — analytic trials never snapshot.
   std::string snapshot_bank;
-  /// System pooling for sampled trials (harness::SystemPool): reuse one
-  /// constructed System per worker via reset_in_place instead of paying
-  /// construction per trial. Pure speed dial — artifacts are byte-identical
-  /// either way (--pool=off disables for A/B checks).
-  bool pool = true;
   /// Snapshot-bank read path: mmap zero-copy (default) or buffered reads
   /// (--mmap=off). Pure speed dial, byte-identical results.
   bool mmap = true;

@@ -51,12 +51,6 @@ class Dram {
   const DramStats& stats() const { return stats_; }
   void clear_stats() { stats_ = DramStats{}; }
 
-  /// Rewinds channel occupancy and statistics to the just-constructed state.
-  void reset_in_place() {
-    channel_free_at_ = 0;
-    clear_stats();
-  }
-
   /// Serializes channel occupancy and statistics.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
@@ -66,7 +60,7 @@ class Dram {
 
   Cycle claim_channel(Cycle now);
 
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): immutable model constants (Table I); pinned by config_digest
+  // NOLINTNEXTLINE(bacp-snapshot-fields): immutable model constants (Table I); pinned by config_digest
   DramConfig config_;
   Cycle channel_free_at_ = 0;
   DramStats stats_;

@@ -85,11 +85,6 @@ void StackProfiler::clear() {
   sampled_ = 0;
 }
 
-void StackProfiler::reset_in_place() {
-  clear();
-  std::fill(stack_entries_.begin(), stack_entries_.end(), 0);
-}
-
 void StackProfiler::save_state(snapshot::Writer& writer) const {
   writer.u32(config_.num_sets);
   writer.u32(config_.set_sampling);

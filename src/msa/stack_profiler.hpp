@@ -58,13 +58,6 @@ class StackProfiler {
 
   void clear();
 
-  /// Rewinds the profiler to its just-constructed state without
-  /// reallocating the stack arrays. Unlike clear() — which leaves stack
-  /// *entries* in place, as the counters-only reset of real hardware would
-  /// — this also zeroes the tag stacks, because save_state() serializes
-  /// them and a reset profiler must snapshot byte-identical to a fresh one.
-  void reset_in_place();
-
   std::uint64_t observed_accesses() const { return observed_; }
   std::uint64_t sampled_accesses() const { return sampled_; }
   const ProfilerConfig& config() const { return config_; }
@@ -86,18 +79,17 @@ class StackProfiler {
   }
   std::uint32_t stored_tag(BlockAddress block) const;
 
-  // NOLINTNEXTLINE(bacp-reset-fields): immutable profiler geometry; pinned at construction, never rewound
   ProfilerConfig config_;
   // Set-index geometry, derived once at construction: observe() runs per L2
   // access, so the shift/mask must not be recomputed per call.
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived from config at construction; restore asserts the echo
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from config at construction; restore asserts the echo
   std::uint32_t set_shift_ = 0;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived from config, as above
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from config, as above
   std::uint64_t set_mask_ = 0;
   // Sampling-test fast path, derived once at construction.
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived from config, as above
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from config, as above
   bool sample_is_pow2_ = false;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived from config, as above
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from config, as above
   std::uint32_t sample_mask_ = 0;
   common::Histogram histogram_;  // profiled_ways + 1 bins
   // Per sampled set: tag stack, MRU first. Tags are either partial hashes

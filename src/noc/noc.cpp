@@ -50,11 +50,6 @@ void Noc::migrate(BankId from, BankId to, Cycle now) {
   free_at = std::max(free_at, now) + config_.bank_busy_cycles;
 }
 
-void Noc::reset_in_place() {
-  std::fill(bank_free_at_.begin(), bank_free_at_.end(), 0);
-  clear_stats();
-}
-
 void Noc::clear_stats() {
   stats_.bank_requests.assign(config_.num_banks, 0);
   stats_.total_queue_cycles = 0;

@@ -73,10 +73,6 @@ class Noc {
   const NocStats& stats() const { return stats_; }
   void clear_stats();
 
-  /// Rewinds bank occupancy and statistics to the just-constructed state
-  /// without reallocating the per-bank arrays.
-  void reset_in_place();
-
   /// Serializes bank occupancy and statistics; restore asserts the
   /// geometry echo.
   void save_state(snapshot::Writer& writer) const;

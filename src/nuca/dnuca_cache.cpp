@@ -354,22 +354,6 @@ bool DnucaCache::resident(BlockAddress block) const {
 
 BankId DnucaCache::bank_of(BlockAddress block) const { return locate(block).bank; }
 
-void DnucaCache::reset_in_place() {
-  for (auto& bank : banks_) bank.reset_in_place();
-  // Views fall back to the construction default (every bank in every core's
-  // view); the per-core vectors keep their capacity.
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    views_[core].clear();
-    for (BankId id = 0; id < config_.geometry.num_banks; ++id) {
-      views_[core].push_back(id);
-    }
-  }
-  rebuild_view_positions();
-  std::fill(round_robin_.begin(), round_robin_.end(), 0);
-  std::fill(fingerprints_.begin(), fingerprints_.end(), 0);
-  clear_stats();
-}
-
 void DnucaCache::clear_stats() {
   std::fill(stats_.hits.begin(), stats_.hits.end(), 0);
   std::fill(stats_.misses.begin(), stats_.misses.end(), 0);

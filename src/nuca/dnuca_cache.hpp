@@ -139,13 +139,6 @@ class DnucaCache {
   const DnucaStats& stats() const { return stats_; }
   void clear_stats();
 
-  /// Rewinds the whole structure to its just-constructed state — every bank
-  /// reset, every core's view back to the all-banks default, fill cursors
-  /// and residency rows empty, zero statistics — without freeing or
-  /// reallocating the flat arrays. A snapshot taken after reset_in_place()
-  /// is byte-identical to one taken after construction.
-  void reset_in_place();
-
   const DnucaConfig& config() const { return config_; }
   const cache::SetAssocCache& bank(BankId id) const { return banks_.at(id); }
   const std::vector<BankId>& view_of(CoreId core) const { return views_.at(core); }
@@ -232,7 +225,7 @@ class DnucaCache {
   }
 
   DnucaConfig config_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): non-owning wiring; the Noc serializes (and resets) itself
+  // NOLINTNEXTLINE(bacp-snapshot-fields): non-owning wiring; the Noc serializes itself
   noc::Noc* noc_;
   std::vector<cache::SetAssocCache> banks_;
   std::vector<std::vector<BankId>> views_;      // per core: banks with owned ways

@@ -1,7 +1,6 @@
 #include "sampling/sampled_run.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "audit/sampling_audit.hpp"
 #include "common/assert.hpp"
@@ -102,28 +101,22 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
                                 const SampledRunConfig& run,
                                 IntervalProfileBank* profiles,
                                 SnapshotStore* snapshots) {
-  return run_sampled_mix(config, mix, run, profiles, snapshots, nullptr);
+  sim::System system(config, mix);
+  return run_sampled_mix(config, mix, run, profiles, snapshots, &system);
 }
 
 SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
                                 const trace::WorkloadMix& mix,
                                 const SampledRunConfig& run,
                                 IntervalProfileBank* profiles,
-                                SnapshotStore* snapshots, sim::System* reuse) {
+                                SnapshotStore* snapshots, sim::System* cold) {
+  BACP_ASSERT(cold != nullptr, "run_sampled_mix needs a System");
+  BACP_ASSERT(sim::config_digest(cold->config(), cold->mix()) ==
+                  sim::config_digest(config, mix),
+              "run_sampled_mix: the System was built for another (config, mix)");
+  sim::System& system = *cold;
   const SamplingPlan plan = plan_mix(config, mix, run, profiles);
 
-  // Pooled path: rewind the caller's System instead of constructing one.
-  // System is deliberately not movable (flat arrays hand out interior
-  // pointers), so the fresh-System path lives in an optional built in place.
-  std::optional<sim::System> local;
-  if (reuse != nullptr) {
-    BACP_ASSERT(sim::config_digest(reuse->config()) == sim::config_digest(config),
-                "pooled System was built under a different config shape");
-    reuse->reset_in_place(mix);
-  } else {
-    local.emplace(config, mix);
-  }
-  sim::System& system = reuse != nullptr ? *reuse : *local;
   // Boundary-state keys are a fold chain: the (config, mix) digest, the run
   // shape, then each medoid index in simulation order. The chain makes keys
   // *trajectory*-dependent — the state at boundary m depends on which

@@ -106,20 +106,14 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
                                 IntervalProfileBank* profiles,
                                 SnapshotStore* snapshots);
 
-/// Pooled-System variant: with `reuse != nullptr` the engine rewinds the
-/// caller's System via System::reset_in_place(mix) instead of constructing
-/// one — the dominant setup cost of short sampled trials (generator recency
-/// rings, L2 bank arrays) is paid once per pooled System instead
-/// of once per trial. `reuse` must have been built under a config whose
-/// mix-independent sim::config_digest() matches `config`'s (asserted);
-/// harness::SystemPool keys its Systems exactly this way. Results are
-/// byte-identical to the fresh-System path — reset_in_place() restores
-/// cold-construction state exactly. `reuse == nullptr` behaves like the
-/// five-argument overload.
+/// The same run on the caller's System, which must be a `System(config,
+/// mix)` that has not run yet (harness::SystemPool::acquire builds one).
+/// The config and mix are asserted against `cold`'s construction digest;
+/// the five-argument overload builds `cold` itself and calls this one.
 SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
                                 const trace::WorkloadMix& mix,
                                 const SampledRunConfig& run,
                                 IntervalProfileBank* profiles,
-                                SnapshotStore* snapshots, sim::System* reuse);
+                                SnapshotStore* snapshots, sim::System* cold);
 
 }  // namespace bacp::sampling

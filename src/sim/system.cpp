@@ -158,44 +158,6 @@ System::System(const SystemConfig& config, const trace::WorkloadMix& mix)
   reset_epoch_tracking();
 }
 
-void System::reset_in_place(const trace::WorkloadMix& mix) {
-  BACP_ASSERT(mix.num_cores() == config_.geometry.num_cores,
-              "mix size must match the core count");
-  flush_streams();
-  mix_ = mix;
-  noc_.reset_in_place();
-  dram_.reset_in_place();
-  directory_.reset_in_place();
-  l2_->reset_in_place();
-
-  const auto& suite = trace::spec2000_suite();
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    const auto& model = suite.at(mix_.workload_indices[core]);
-    l1_[core].reset_in_place();
-    generators_[core]->reset_in_place(model, config_.seed);
-    profilers_[core]->reset_in_place();
-    // The timer's gap model follows the slot's new workload.
-    timers_[core]->reset_in_place(timer_config(core, model, 0));
-  }
-  // Streams were flushed above.
-  for (auto& stream : streams_) {
-    stream.batch.size = 0;
-    stream.cursor = 0;
-  }
-
-  allocation_history_.clear();
-  std::fill(snapshots_.begin(), snapshots_.end(), CoreSnapshot{});
-  std::fill(active_.begin(), active_.end(), 1);
-  bound_workloads_ = mix_.workload_indices;
-  std::fill(last_epoch_instructions_.begin(), last_epoch_instructions_.end(), 0.0);
-  std::fill(decayed_instructions_.begin(), decayed_instructions_.end(), 0.0);
-  apply_policy_plan();
-  next_epoch_ = config_.epoch_cycles;
-  epochs_ = 0;
-  reset_epoch_tracking();
-  audit_checkpoint("reset_in_place");
-}
-
 trace::GeneratorConfig System::generator_config(CoreId core) const {
   trace::GeneratorConfig generator;
   generator.num_sets = config_.sets_per_bank;

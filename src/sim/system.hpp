@@ -190,17 +190,6 @@ class System {
   void install_partition(const partition::Allocation& allocation,
                          const partition::BankAssignment& assignment);
 
-  /// Rewinds the whole system to the state a fresh `System(config(), mix)`
-  /// would have — every component cold, generators and timers rebound to
-  /// the new mix's workloads, the policy's initial plan reinstalled, the
-  /// epoch clock re-armed — without freeing or reallocating any component's
-  /// flat storage (cache columns, recency rings, hash slabs, stack arrays
-  /// all keep their allocations). `mix` must have the same core count as
-  /// the construction mix. A save_state() after reset_in_place() is
-  /// byte-identical to one taken from a freshly constructed System, so
-  /// pooled Systems (harness::SystemPool) replay trials bit-exactly.
-  void reset_in_place(const trace::WorkloadMix& mix);
-
   /// Clears all statistics and re-arms the measurement window at the
   /// current point (what warm_up() does after its run). Simulation
   /// trajectory is unaffected: only counters, marks and the per-epoch
@@ -241,6 +230,8 @@ class System {
   }
   const coherence::MoesiDirectory& directory() const { return directory_; }
   const SystemConfig& config() const { return config_; }
+  /// The construction mix; reset_core() rebinds bound_workload() only.
+  const trace::WorkloadMix& mix() const { return mix_; }
   const msa::StackProfiler& profiler(CoreId core) const { return *profilers_.at(core); }
 
   /// Live view of the per-epoch recorder (also copied into results()).

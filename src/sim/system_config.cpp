@@ -77,11 +77,8 @@ class FieldDigest {
 
 }  // namespace
 
-namespace {
-
-/// Folds every SystemConfig field into `digest` (the mix-independent half of
-/// config_digest(); see the completeness static_asserts above).
-void digest_config_fields(FieldDigest& digest, const SystemConfig& config) {
+std::uint64_t config_digest(const SystemConfig& config, const trace::WorkloadMix& mix) {
+  FieldDigest digest;
   digest.u64(config.geometry.num_cores);
   digest.u64(config.geometry.num_banks);
   digest.u64(config.geometry.ways_per_bank);
@@ -106,21 +103,8 @@ void digest_config_fields(FieldDigest& digest, const SystemConfig& config) {
   digest.u64(config.epoch_cycles);
   digest.u64(config.seed);
   digest.f64(config.gap_jitter);
-}
-
-}  // namespace
-
-std::uint64_t config_digest(const SystemConfig& config, const trace::WorkloadMix& mix) {
-  FieldDigest digest;
-  digest_config_fields(digest, config);
   digest.u64(mix.workload_indices.size());
   for (const std::size_t index : mix.workload_indices) digest.u64(index);
-  return digest.value();
-}
-
-std::uint64_t config_digest(const SystemConfig& config) {
-  FieldDigest digest;
-  digest_config_fields(digest, config);
   return digest.value();
 }
 

@@ -75,12 +75,4 @@ struct SystemConfig {
 /// extending the digest fails the build (fingerprint completeness).
 std::uint64_t config_digest(const SystemConfig& config, const trace::WorkloadMix& mix);
 
-/// Mix-independent fingerprint over every SystemConfig field (the same
-/// field stream as above, minus the mix tail). Two Systems with equal
-/// digests have identical component shapes — the same flat-array sizes,
-/// RNG seeding and policy wiring — so a pooled System built under one
-/// config can be reset_in_place() to serve any trial whose config digests
-/// equal (harness::SystemPool keys on this).
-std::uint64_t config_digest(const SystemConfig& config);
-
 }  // namespace bacp::sim

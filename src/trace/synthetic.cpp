@@ -57,22 +57,6 @@ void SyntheticTraceGenerator::switch_model(const WorkloadModel& model) {
       common::DiscreteSampler(model.stack_distance_weights(config_.max_depth));
 }
 
-void SyntheticTraceGenerator::reset_in_place(const WorkloadModel& model,
-                                             std::uint64_t seed) {
-  BACP_ASSERT(!live_batch_, "reset_in_place with an outstanding batch");
-  model.validate();
-  model_ = &model;
-  rng_ = common::Rng(seed, config_.core);
-  depth_sampler_ =
-      common::DiscreteSampler(model.stack_distance_weights(config_.max_depth));
-  std::fill(recency_heads_.begin(), recency_heads_.end(), 0);
-  std::fill(recency_sizes_.begin(), recency_sizes_.end(), 0);
-  next_block_id_ = 0;
-  undo_log_.clear();
-  batch_rng_state_.fill(0);
-  batch_start_block_id_ = 0;
-}
-
 template <bool Record>
 MemoryAccess SyntheticTraceGenerator::produce() {
   const auto set = static_cast<std::uint32_t>(rng_.next_below(config_.num_sets));

@@ -82,15 +82,6 @@ class SyntheticTraceGenerator {
   /// memory but the reuse pattern over it changes.
   void switch_model(const WorkloadModel& model);
 
-  /// Rewinds the generator to the state a fresh
-  /// `SyntheticTraceGenerator(model, config(), seed)` would have — new
-  /// model and RNG stream, empty recency rings, block counter at zero —
-  /// without freeing, reallocating or rewriting the ring storage (only the
-  /// live windows are state). Illegal while a
-  /// batch is outstanding. Snapshot bytes after reset match a fresh
-  /// generator's.
-  void reset_in_place(const WorkloadModel& model, std::uint64_t seed);
-
   const WorkloadModel& model() const { return *model_; }
   const GeneratorConfig& config() const { return config_; }
 
@@ -148,13 +139,12 @@ class SyntheticTraceGenerator {
   // whole list; a depth-d re-touch shifts only the d entries above it.
   // Only a set's live window is ever read, so the array is allocated
   // uninitialized and dead slots keep whatever they held.
-  // NOLINTNEXTLINE(bacp-reset-fields): reset empties every window through recency_sizes_; dead slots are never read, so the ids are not rewritten
   std::unique_ptr<BlockId[]> recency_ids_;
   std::vector<std::uint32_t> recency_heads_;
   std::vector<std::uint32_t> recency_sizes_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived geometry (bit_ceil of max_depth); never rewound
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived geometry (bit_ceil of max_depth)
   std::uint32_t ring_capacity_ = 0;  ///< bit_ceil(max_depth)
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): derived geometry, as above
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived geometry, as above
   std::uint32_t ring_mask_ = 0;
   std::uint64_t next_block_id_ = 0;
   // Batch rewind bookkeeping: the RNG/block-counter state at the last

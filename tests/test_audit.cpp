@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "audit/pool_audit.hpp"
 #include "audit/sampling_audit.hpp"
 #include "audit/snapshot_audit.hpp"
 #include "audit/system_audit.hpp"
@@ -672,61 +671,6 @@ TEST(SnapshotAudit, FlagsOversizedSectionCount) {
   auto snapshot = small_snapshot();
   snapshot.bytes[12] = 0xFF;  // section count field
   require_violation(audit_snapshot(snapshot), Structure::Snapshot, "section_count");
-}
-
-// ---------------------------------------------------------------------------
-// SystemPool lease bookkeeping
-// ---------------------------------------------------------------------------
-
-PoolBookkeepingInput healthy_pool() {
-  // 5 acquires (2 constructions, 3 reuses), one lease still out, one System
-  // parked idle: outstanding + idle == misses holds.
-  PoolBookkeepingInput input;
-  input.hits = 3;
-  input.misses = 2;
-  input.outstanding = 1;
-  input.idle = 1;
-  return input;
-}
-
-TEST(PoolAudit, CleanBookkeepingPassesAndCountsChecks) {
-  const auto report = audit_pool_bookkeeping(healthy_pool());
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(report.checks, 0u);
-}
-
-TEST(PoolAudit, FreshPoolPasses) {
-  const auto report = audit_pool_bookkeeping(PoolBookkeepingInput{});
-  EXPECT_TRUE(report.ok()) << report.to_string();
-}
-
-TEST(PoolAudit, KillsDroppedLease) {
-  // A lease destroyed without returning its System: outstanding decremented
-  // nowhere, the System gone — conservation breaks.
-  auto input = healthy_pool();
-  input.outstanding = 0;
-  require_violation(audit_pool_bookkeeping(input), Structure::Pool, "conservation");
-}
-
-TEST(PoolAudit, KillsDoubleReturnedSystem) {
-  auto input = healthy_pool();
-  input.idle += 1;  // one System parked twice
-  require_violation(audit_pool_bookkeeping(input), Structure::Pool, "conservation");
-}
-
-TEST(PoolAudit, KillsHitsWithoutAnyConstruction) {
-  PoolBookkeepingInput input;
-  input.hits = 4;  // served from an idle list no miss ever populated
-  require_violation(audit_pool_bookkeeping(input), Structure::Pool,
-                    "hit_provenance");
-}
-
-TEST(PoolAudit, KillsMoreLeasesOutThanAcquires) {
-  PoolBookkeepingInput input;
-  input.misses = 2;
-  input.hits = 1;
-  input.outstanding = 4;
-  require_violation(audit_pool_bookkeeping(input), Structure::Pool, "lease_bound");
 }
 
 TEST(AuditReportTest, ViolationRendersAllCoordinates) {

@@ -937,75 +937,5 @@ TEST(DnucaEquivalence, ResidencyIndexMatchesBruteForceProbesPaddedRows) {
   check_residency_index(nuca::AggregationKind::SharedDnuca, 0x9AD5, 5, 3);
 }
 
-// ---------------------------------------------------------------------------
-// Pooled System reuse: reset_in_place vs. fresh construction. The pooling
-// contract (harness::SystemPool) is that a rewound System is
-// indistinguishable from a newly constructed one — here the optimized
-// formulation is "rewind a dirty System" and the reference is "construct a
-// fresh one", compared at the save_state() byte level and replayed forward.
-// ---------------------------------------------------------------------------
-
-TEST(PoolEquivalence, ResetInPlaceMatchesFreshConstructionBitForBit) {
-  sim::SystemConfig config = sim::SystemConfig::baseline();
-  config.epoch_cycles = 1'500'000;
-  config.finalize();
-  const auto first_mix = trace::mix_from_names(
-      {"mcf", "eon", "art", "gcc", "bzip2", "sixtrack", "facerec", "gzip"});
-  const auto second_mix = trace::mix_from_names(
-      {"gzip", "facerec", "sixtrack", "bzip2", "gcc", "art", "eon", "mcf"});
-
-  // Dirty the reused System thoroughly: warm-up plus a measured run leaves
-  // every component (caches, residency rows, profiler stacks, generator
-  // rings, timers, observability series) full of first-trial state.
-  sim::System reused(config, first_mix);
-  reused.warm_up(300'000);
-  reused.run(300'000);
-  reused.reset_in_place(second_mix);
-
-  sim::System fresh(config, second_mix);
-  EXPECT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
-
-  // ...and the rewound System replays the second trial on the exact
-  // trajectory of the fresh one, not merely from an equal-looking start.
-  // (save_state() is legal only at statistics-clean points, so the warm
-  // states compare as bytes and the measured runs compare as results.)
-  reused.warm_up(200'000);
-  fresh.warm_up(200'000);
-  EXPECT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
-  reused.run(400'000);
-  fresh.run(400'000);
-  EXPECT_EQ(reused.results().to_json().dump(), fresh.results().to_json().dump());
-}
-
-TEST(PoolEquivalence, RepeatedResetsDoNotDrift) {
-  // Three successive lease cycles on one System against three fresh
-  // constructions: any residue that survives one reset would compound here.
-  sim::SystemConfig config = sim::SystemConfig::baseline();
-  config.epoch_cycles = 1'500'000;
-  config.finalize();
-  const std::vector<trace::WorkloadMix> mixes = {
-      trace::mix_from_names(
-          {"mcf", "eon", "art", "gcc", "bzip2", "sixtrack", "facerec", "gzip"}),
-      trace::mix_from_names(
-          {"art", "gzip", "mcf", "facerec", "eon", "bzip2", "gcc", "sixtrack"}),
-      trace::mix_from_names(
-          {"bzip2", "gcc", "gzip", "eon", "sixtrack", "mcf", "art", "facerec"}),
-  };
-
-  sim::System reused(config, mixes[0]);
-  for (const auto& mix : mixes) {
-    reused.reset_in_place(mix);
-    reused.warm_up(150'000);
-
-    sim::System fresh(config, mix);
-    fresh.warm_up(150'000);
-    ASSERT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
-
-    reused.run(250'000);
-    fresh.run(250'000);
-    ASSERT_EQ(reused.results().to_json().dump(), fresh.results().to_json().dump());
-  }
-}
-
 }  // namespace
 }  // namespace bacp

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/monte_carlo.hpp"
 #include "obs/report.hpp"
 #include "trace/spec2000.hpp"
 
@@ -85,6 +86,17 @@ TEST(DetailedRunConfigDeath, SweepAndSpeedDialFlagsAreUnknown) {
                 ::testing::ExitedWithCode(2), "unknown flag")
         << flag;
   }
+}
+
+// A sampled trial constructs its System, so the Monte-Carlo binaries have no
+// pooling dial left: --pool is an unknown flag (usage + exit 2).
+using MonteCarloConfigDeath = ::testing::Test;
+
+TEST(MonteCarloConfigDeath, PoolFlagIsUnknown) {
+  common::ArgParser parser(MonteCarloConfig::cli_flags());
+  const char* argv[] = {"prog", "--pool=off"};
+  EXPECT_EXIT(std::exit(obs::handle_cli(parser, 2, argv).value_or(0)),
+              ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 // A zero epoch is a usage error (exit 2) that names the flag, not an abort

@@ -91,6 +91,8 @@ TEST(Types, Pow2AndLog2Helpers) {
   EXPECT_EQ(log2_floor(1), 0u);
   EXPECT_EQ(log2_floor(2048), 11u);
   EXPECT_EQ(log2_floor(72), 6u);  // the Table II pointer width
+  EXPECT_EQ(log2_floor(1ull << 63), 63u);
+  EXPECT_EQ(log2_floor(~0ull), 63u);
   EXPECT_EQ(ceil_div(7, 3), 3u);
   EXPECT_EQ(ceil_div(6, 3), 2u);
 }

@@ -14,7 +14,6 @@
 #include <numeric>
 #include <vector>
 
-#include "audit/pool_audit.hpp"
 #include "audit/sampling_audit.hpp"
 #include "harness/system_pool.hpp"
 #include "sampling/interval_features.hpp"
@@ -320,46 +319,18 @@ TEST(SampledRun, PooledSystemReuseDoesNotChangeBytes) {
   expect_estimates_identical(bare, leased);
 }
 
-TEST(SystemPoolLease, ReusesSystemsPerConfigShapeAndKeepsBooksClean) {
-  harness::SystemPool pool;
+// The six-argument overload runs on the caller's System as it stands: one
+// built for another mix would, on a bank miss, warm that mix's state into
+// an entry keyed for `mix`. It aborts instead.
+using SampledRunDeath = ::testing::Test;
+
+TEST(SampledRunDeath, SystemBuiltForAnotherMixAborts) {
   const auto config = tiny_config();
-  const auto mix = eight_core_mix();
-
-  {
-    auto first = pool.acquire(config, mix);
-    EXPECT_FALSE(first.pooled_hit());
-    EXPECT_EQ(pool.outstanding(), 1u);
-    // A second concurrent lease of the same shape cannot steal the first.
-    auto second = pool.acquire(config, mix);
-    EXPECT_FALSE(second.pooled_hit());
-    EXPECT_EQ(pool.misses(), 2u);
-    EXPECT_EQ(pool.outstanding(), 2u);
-  }
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.idle(), 2u);
-
-  // Same config shape — even under a different mix — is a pooled hit; the
-  // mix-independent digest keys the pool because reset_in_place rebinds it.
-  const auto other = trace::mix_from_names(
-      {"gzip", "mcf", "eon", "art", "gcc", "bzip2", "sixtrack", "facerec"});
-  {
-    auto lease = pool.acquire(config, other);
-    EXPECT_TRUE(lease.pooled_hit());
-    EXPECT_EQ(pool.hits(), 1u);
-  }
-
-  // A different config shape misses.
-  auto bigger = config;
-  bigger.epoch_cycles *= 2;
-  bigger.finalize();
-  {
-    auto lease = pool.acquire(bigger, mix);
-    EXPECT_FALSE(lease.pooled_hit());
-  }
-
-  const auto report = audit::audit_pool_bookkeeping(pool.bookkeeping());
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(report.checks, 0u);
+  sim::System system(config, trace::mix_from_names({"gzip", "mcf", "eon", "art", "gcc",
+                                                    "bzip2", "sixtrack", "facerec"}));
+  EXPECT_DEATH((void)run_sampled_mix(config, eight_core_mix(), tiny_run(), nullptr, nullptr,
+                                     &system),
+               "built for another");
 }
 
 TEST(SampledRun, DifferentMixesNeverShareSnapshotKeys) {

@@ -430,37 +430,6 @@ void check_snapshot_fields(const CodeModel& model, bool explicit_files,
   }
 }
 
-// --- bacp-reset-fields ------------------------------------------------------
-
-/// Mirror of bacp-snapshot-fields for the reset contract: a class offering
-/// reset_in_place() promises a rewind to cold-construction state, so every
-/// member must be referenced somewhere on the reset path (directly or via a
-/// same-class helper it calls). A member the reset never touches leaks the
-/// previous trial's state into the next one — exactly the corruption class
-/// the pooled-System engine (harness::SystemPool) must exclude. Immutable
-/// geometry echoes and derived lookup tables are waived per-member with
-/// `NOLINTNEXTLINE(bacp-reset-fields): why`.
-void check_reset_fields(const CodeModel& model, bool explicit_files,
-                        std::vector<Finding>& out) {
-  for (const auto& [name, infos] : model.classes) {
-    for (const ClassInfo& info : infos) {
-      if (!explicit_files && !in_scope(info.file->rel, Scope::kSrcOnly))
-        continue;
-      if (!info.has_method("reset_in_place")) continue;
-      const std::set<std::string> reset_ids =
-          reachable_identifiers(model, info, {"reset_in_place"});
-      for (const MemberVar& member : info.members) {
-        if (reset_ids.count(member.name) != 0) continue;
-        emit(*info.file, "bacp-reset-fields", member.line,
-             "member `" + member.name + "` of resettable class `" + name +
-                 "` is not referenced on the reset_in_place path; a pooled "
-                 "reuse would leak the previous run's state into the next",
-             out);
-      }
-    }
-  }
-}
-
 // --- bacp-audit-coverage ----------------------------------------------------
 
 void check_audit_coverage(const CodeModel& model, bool explicit_files,
@@ -598,9 +567,6 @@ const std::vector<CheckEntry>& registry() {
       {{"bacp-snapshot-fields",
         "serialized classes whose members miss the save or restore path"},
        &check_snapshot_fields},
-      {{"bacp-reset-fields",
-        "resettable classes whose members miss the reset_in_place path"},
-       &check_reset_fields},
       {{"bacp-audit-coverage",
         "audited aggregates with members lacking an audit_* entry point"},
        &check_audit_coverage},
