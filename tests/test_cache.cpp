@@ -31,10 +31,11 @@ TEST(SetAssocCache, MissThenHit) {
   SetAssocCache cache(tiny());
   const auto b = block_in(0, 1);
   EXPECT_FALSE(cache.access(b, 0, false).hit);
-  cache.fill(b, 0, false);
-  EXPECT_TRUE(cache.access(b, 0, false).hit);
-  EXPECT_EQ(cache.stats().hits[0], 1u);
-  EXPECT_EQ(cache.stats().misses[0], 1u);
+  const FillResult fill = cache.fill(b, 0, false);
+  EXPECT_FALSE(fill.evicted.has_value());
+  const LookupResult hit = cache.access(b, 0, false);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(hit.way, fill.way);
 }
 
 TEST(SetAssocCache, FillPrefersInvalidWays) {

@@ -246,6 +246,11 @@ void replay_cache(const cache::SetAssocCache::Config& config, std::uint64_t seed
   RefCache ref(config);
   common::Rng rng(seed);
   std::vector<BlockAddress> pool;
+  // The real cache's per-core counts, tallied from what access() and fill()
+  // return; the reference counts its own.
+  std::vector<std::uint64_t> hits(config.num_cores, 0);
+  std::vector<std::uint64_t> misses(config.num_cores, 0);
+  std::vector<std::uint64_t> evictions(config.num_cores, 0);
 
   for (std::size_t i = 0; i < ops; ++i) {
     const std::uint64_t op = rng.next_below(100);
@@ -265,12 +270,14 @@ void replay_cache(const cache::SetAssocCache::Config& config, std::uint64_t seed
       if (expected.hit && i % 2 == 0) {
         // Exercise the known-way fast path on alternating hits.
         real.touch_hit(block, expected.way, core, is_write);
+        ++hits[core];
       } else {
         const auto got = real.access(block, core, is_write);
         ASSERT_EQ(got.hit, expected.hit) << "op " << i;
         if (got.hit) {
           ASSERT_EQ(got.way, expected.way) << "op " << i;
         }
+        ++(got.hit ? hits : misses)[core];
       }
       if (!expected.hit) {
         const auto got = real.fill(block, core, is_write);
@@ -278,6 +285,7 @@ void replay_cache(const cache::SetAssocCache::Config& config, std::uint64_t seed
         ASSERT_EQ(got.way, want.way) << "op " << i;
         ASSERT_EQ(got.evicted.has_value(), want.evicted.has_value()) << "op " << i;
         if (got.evicted) {
+          ++evictions[core];
           ASSERT_EQ(got.evicted->block, want.evicted->block) << "op " << i;
           ASSERT_EQ(got.evicted->allocator, want.evicted->allocator) << "op " << i;
           ASSERT_EQ(got.evicted->dirty, want.evicted->dirty) << "op " << i;
@@ -333,9 +341,9 @@ void replay_cache(const cache::SetAssocCache::Config& config, std::uint64_t seed
 
   ASSERT_EQ(real.valid_lines(), ref.valid_lines());
   for (CoreId core = 0; core < config.num_cores; ++core) {
-    ASSERT_EQ(real.stats().hits[core], ref.hits()[core]) << "core " << core;
-    ASSERT_EQ(real.stats().misses[core], ref.misses()[core]) << "core " << core;
-    ASSERT_EQ(real.stats().evictions[core], ref.evictions()[core]) << "core " << core;
+    ASSERT_EQ(hits[core], ref.hits()[core]) << "core " << core;
+    ASSERT_EQ(misses[core], ref.misses()[core]) << "core " << core;
+    ASSERT_EQ(evictions[core], ref.evictions()[core]) << "core " << core;
   }
   for (const BlockAddress block : pool) {
     ASSERT_EQ(real.probe(block), ref.probe(block)) << "block " << block;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "partition/bank_aware.hpp"
 #include "partition/static_policies.hpp"
@@ -190,18 +194,77 @@ TEST(Dnuca, SharedDnucaMigratesTowardTheRequester) {
   }
 }
 
+/// Directory lookups that one read of `b` by core 0 adds to stats().
+std::uint64_t lookups_of(DnucaCache& cache, BlockAddress b, Cycle now) {
+  const std::uint64_t before = cache.stats().directory_lookups;
+  cache.access(b, 0, false, now);
+  return cache.stats().directory_lookups - before;
+}
+
 TEST(Dnuca, DirectoryLookupWidthsFollowTheScheme) {
-  for (const auto kind : {AggregationKind::Parallel, AggregationKind::AddressHash}) {
+  // Core 0 starts with all 8 banks in its view, in id order (the
+  // No-partition plan). The off-view hit comes after a plan that drops the
+  // bank holding the line, which leaves a 7-bank view. Parallel and
+  // SharedDnuca probe the whole view's directory, AddressHash one bank,
+  // Cascade walks the view up to the hit (the whole view when the line is
+  // not in it), and TwoLevelCascade probes the head and then its group.
+  struct Row {
+    AggregationKind kind;
+    std::uint64_t miss, front_hit, deep_hit, offview_hit;
+  };
+  constexpr Row kRows[] = {
+      {AggregationKind::Parallel, 8, 8, 8, 7},
+      {AggregationKind::AddressHash, 1, 1, 1, 1},
+      {AggregationKind::Cascade, 8, 1, 6, 7},
+      {AggregationKind::TwoLevelCascade, 2, 1, 2, 2},
+      {AggregationKind::SharedDnuca, 8, 8, 8, 7},
+  };
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(to_string(row.kind));
     noc::Noc noc(small_noc());
-    DnucaCache cache(small_config(kind), noc);
-    cache.apply_assignment(partition::equal_partition(cache.config().geometry).assignment);
-    cache.access(block(0, 1), 0, false, 0);
-    const auto outcome = cache.access(block(0, 1), 0, false, 10);
-    if (kind == AggregationKind::Parallel) {
-      EXPECT_EQ(outcome.directory_lookups, cache.view_of(0).size());
-    } else {
-      EXPECT_EQ(outcome.directory_lookups, 1u);
+    DnucaCache cache(small_config(row.kind), noc);
+    const auto geometry = cache.config().geometry;
+    cache.apply_assignment(partition::no_partition(geometry).assignment);
+    // 24 lines into set 0. Cascade stacks them six banks deep and
+    // TwoLevelCascade two; the others spread them by round robin or hash.
+    std::vector<BlockAddress> lines;
+    for (std::uint64_t t = 1; t <= 24; ++t) {
+      lines.push_back(block(0, t));
+      cache.access(lines.back(), 0, false, t);
     }
+    const auto view_position = [&](BlockAddress b) {
+      const auto& view = cache.view_of(0);
+      return std::find(view.begin(), view.end(), cache.bank_of(b)) - view.begin();
+    };
+    std::optional<BlockAddress> front;
+    std::optional<BlockAddress> deep;
+    std::ptrdiff_t deepest = 0;
+    for (const BlockAddress b : lines) {
+      if (!cache.resident(b)) continue;
+      const auto position = view_position(b);
+      if (position == 0 && !front) front = b;
+      if (position > deepest) {
+        deepest = position;
+        deep = b;
+      }
+    }
+    ASSERT_TRUE(front.has_value());
+    ASSERT_TRUE(deep.has_value());
+
+    EXPECT_EQ(lookups_of(cache, block(1, 99), 100), row.miss);
+    EXPECT_EQ(lookups_of(cache, *front, 110), row.front_hit);
+    EXPECT_EQ(lookups_of(cache, *deep, 120), row.deep_hit);
+
+    const auto resident = std::find_if(lines.begin(), lines.end(),
+                                       [&](BlockAddress b) { return cache.resident(b); });
+    ASSERT_NE(resident, lines.end());
+    auto plan = partition::no_partition(geometry);
+    auto& view = plan.assignment.banks_of_core[0];
+    view.erase(std::find(view.begin(), view.end(), cache.bank_of(*resident)));
+    cache.apply_assignment(plan.assignment);
+    const std::uint64_t offview_before = cache.stats().offview_hits;
+    EXPECT_EQ(lookups_of(cache, *resident, 130), row.offview_hit);
+    EXPECT_EQ(cache.stats().offview_hits, offview_before + 1);
   }
 }
 

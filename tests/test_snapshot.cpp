@@ -324,6 +324,14 @@ TEST(ConfigDigest, NearbyConfigsDoNotCollide) {
   EXPECT_NE(sim::config_digest(changed, mix), digest);
 }
 
+// Bank file names and warm-up keys derive from the digest, so a change to
+// its hash, its basis or its field order renames every banked snapshot.
+TEST(ConfigDigest, BaselineSet1DigestIsPinned) {
+  EXPECT_EQ(sim::config_digest(sim::SystemConfig::baseline(),
+                               harness::table3_sets().front().mix()),
+            0x929BE740EB5968FCull);
+}
+
 // ---------------------------------------------------------------------------
 // SnapshotCache
 // ---------------------------------------------------------------------------
