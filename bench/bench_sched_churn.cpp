@@ -20,6 +20,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/config_cli.hpp"
 #include "obs/report.hpp"
@@ -32,10 +33,10 @@ constexpr bacp::harness::Knob kEpochsKnob{"epochs", "churn stream length per lan
 constexpr bacp::harness::Knob kLanesKnob{"lanes", "independent service lanes"};
 
 std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
+  std::uint64_t hash = bacp::common::kFnv1aBasis;
   for (const char byte : bytes) {
     hash ^= static_cast<unsigned char>(byte);
-    hash *= 0x00000100000001B3ull;
+    hash *= bacp::common::kFnv1aPrime;
   }
   return hash;
 }

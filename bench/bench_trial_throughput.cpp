@@ -32,8 +32,8 @@
 // defaults are laptop-friendly; CI passes them explicitly.
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <new>
@@ -41,6 +41,7 @@
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
+#include "common/fnv1a.hpp"
 #include "harness/config_cli.hpp"
 #include "harness/monte_carlo.hpp"
 #include "obs/phase_timer.hpp"
@@ -67,13 +68,7 @@ void* counted_alloc(std::size_t size) {
 /// identical bytes at a fixed seed regardless of thread count or restore
 /// path — the determinism contract this bench pins.
 std::uint64_t fold_bits(std::uint64_t hash, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    hash ^= (bits >> shift) & 0xFFu;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
+  return bacp::common::fnv1a_fold(hash, std::bit_cast<std::uint64_t>(value));
 }
 
 }  // namespace

@@ -2,34 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "common/assert.hpp"
 #include "snapshot/codec.hpp"
 
 namespace bacp::cache {
 
-std::uint64_t CacheStats::total_hits() const {
-  return std::accumulate(hits.begin(), hits.end(), std::uint64_t{0});
-}
-
-std::uint64_t CacheStats::total_misses() const {
-  return std::accumulate(misses.begin(), misses.end(), std::uint64_t{0});
-}
-
-double CacheStats::miss_ratio() const {
-  const std::uint64_t total = total_accesses();
-  return total == 0 ? 0.0 : static_cast<double>(total_misses()) / static_cast<double>(total);
-}
-
-void CacheStats::clear() {
-  std::fill(hits.begin(), hits.end(), 0);
-  std::fill(misses.begin(), misses.end(), 0);
-  std::fill(evictions.begin(), evictions.end(), 0);
-}
-
-SetAssocCache::SetAssocCache(const Config& config)
-    : config_(config), stats_(config.num_cores) {
+SetAssocCache::SetAssocCache(const Config& config) : config_(config) {
   BACP_ASSERT(is_pow2(config_.num_sets), "num_sets must be a power of two");
   BACP_ASSERT(config_.ways >= 1, "cache needs at least one way");
   BACP_ASSERT(config_.ways <= 64, "per-set bitmasks support at most 64 ways");
@@ -131,12 +110,10 @@ LookupResult SetAssocCache::access(BlockAddress block, CoreId core, bool is_writ
   BACP_DASSERT(core < config_.num_cores, "core id out of range");
   const std::uint32_t set = set_index(block);
   if (const auto found = find(block)) {
-    ++stats_.hits[core];
     touch_mru(set, found->way);
     if (is_write) meta_[set].dirty |= std::uint64_t{1} << found->way;
     return *found;
   }
-  ++stats_.misses[core];
   return LookupResult{false, 0};
 }
 
@@ -176,7 +153,6 @@ FillResult SetAssocCache::fill(BlockAddress block, CoreId core, bool dirty) {
   const std::size_t index = line_index(set, victim);
   if ((meta_[set].valid & bit) != 0) {
     result.evicted = line_at(set, victim);
-    ++stats_.evictions[core];
   }
   tags_[index] = block;
   allocators_[index] = core;
@@ -192,14 +168,11 @@ FillResult SetAssocCache::fill(BlockAddress block, CoreId core, bool dirty) {
 
 bool SetAssocCache::probe(BlockAddress block) const { return find(block).has_value(); }
 
-void SetAssocCache::touch_hit(BlockAddress block, WayIndex way, CoreId core,
-                              bool is_write) {
-  BACP_DASSERT(core < config_.num_cores, "core id out of range");
+void SetAssocCache::touch_hit(BlockAddress block, WayIndex way, bool is_write) {
   const std::uint32_t set = set_index(block);
   BACP_DASSERT(way < config_.ways && tags_[line_index(set, way)] == block &&
                    ((meta_[set].valid >> way) & 1) != 0,
                "touch_hit location out of sync with cache contents");
-  ++stats_.hits[core];
   touch_mru(set, way);
   if (is_write) meta_[set].dirty |= std::uint64_t{1} << way;
 }
@@ -303,9 +276,6 @@ void SetAssocCache::save_state(snapshot::Writer& writer) const {
   }
   writer.scalars(std::span<const std::uint8_t>(links_));
   writer.scalars(std::span<const CoreMask>(way_masks_));
-  writer.scalars(std::span<const std::uint64_t>(stats_.hits));
-  writer.scalars(std::span<const std::uint64_t>(stats_.misses));
-  writer.scalars(std::span<const std::uint64_t>(stats_.evictions));
 }
 
 void SetAssocCache::restore_state(snapshot::Reader& reader) {
@@ -340,9 +310,6 @@ void SetAssocCache::restore_state(snapshot::Reader& reader) {
   BACP_ASSERT((mask_bits & ~way_bits) == 0 && link_top <= config_.ways,
               "snapshot cache metadata indexes outside its set");
   reader.scalars_into(std::span<CoreMask>(way_masks_));
-  reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
-  reader.scalars_into(std::span<std::uint64_t>(stats_.misses));
-  reader.scalars_into(std::span<std::uint64_t>(stats_.evictions));
   rebuild_owned_ways();
 }
 

@@ -41,22 +41,6 @@ struct FillResult {
   std::optional<Line> evicted;  ///< set when a valid line was displaced
 };
 
-/// Per-core hit/miss/eviction counters for one cache structure.
-struct CacheStats {
-  std::vector<std::uint64_t> hits;
-  std::vector<std::uint64_t> misses;
-  std::vector<std::uint64_t> evictions;
-
-  explicit CacheStats(std::size_t num_cores = 0)
-      : hits(num_cores, 0), misses(num_cores, 0), evictions(num_cores, 0) {}
-
-  std::uint64_t total_hits() const;
-  std::uint64_t total_misses() const;
-  std::uint64_t total_accesses() const { return total_hits() + total_misses(); }
-  double miss_ratio() const;
-  void clear();
-};
-
 /// Set-associative cache with true LRU and the paper's *vertical fine-grain
 /// cache-way partitioning* (Section III-B, after Iyer's CQoS): every way
 /// carries a core mask, identical across all sets of the structure, and a
@@ -78,7 +62,7 @@ class SetAssocCache {
     std::string name = "cache";
     std::uint32_t num_sets = 64;
     WayCount ways = 8;
-    std::uint32_t num_cores = 1;  ///< width of the statistics arrays
+    std::uint32_t num_cores = 1;  ///< cores that may own ways
   };
 
   explicit SetAssocCache(const Config& config);
@@ -94,10 +78,10 @@ class SetAssocCache {
   FillResult fill(BlockAddress block, CoreId core, bool dirty);
 
   /// access() hit path when the caller already knows the way the block
-  /// occupies (e.g. from a DNUCA residency row): counts the hit, moves
-  /// the line to MRU and applies the write's dirty bit — identical
-  /// side effects to a hitting access(), minus the tag scan.
-  void touch_hit(BlockAddress block, WayIndex way, CoreId core, bool is_write);
+  /// occupies (e.g. from a DNUCA residency row): moves the line to MRU and
+  /// applies the write's dirty bit — identical side effects to a hitting
+  /// access(), minus the tag scan.
+  void touch_hit(BlockAddress block, WayIndex way, bool is_write);
 
   /// Marks the resident block in `way` dirty without touching LRU state
   /// (writeback updates arriving from the level above).
@@ -135,14 +119,12 @@ class SetAssocCache {
   WayCount ways_owned(CoreId core) const;
 
   const Config& config() const { return config_; }
-  const CacheStats& stats() const { return stats_; }
-  void clear_stats() { stats_.clear(); }
 
   /// Count of valid lines (for occupancy tests).
   std::uint64_t valid_lines() const;
 
   /// Serializes the full mutable state (lines, recency lists, partition
-  /// masks, statistics) for warm-state snapshots. Restore asserts the
+  /// masks) for warm-state snapshots. Restore asserts the
   /// snapshot's geometry echo matches this cache's configuration; identical
   /// state always serializes to identical bytes.
   void save_state(snapshot::Writer& writer) const;
@@ -165,16 +147,6 @@ class SetAssocCache {
 
   std::uint32_t set_index(BlockAddress block) const {
     return static_cast<std::uint32_t>(block & (config_.num_sets - 1));
-  }
-
-  /// Read-prefetches the set metadata, tag column and recency links for
-  /// `block`'s set. sim::System issues this for each core's next buffered
-  /// access so the L1 set is warm when the access is served.
-  void prefetch_set(BlockAddress block) const {
-    const std::uint32_t set = set_index(block);
-    __builtin_prefetch(&meta_[set]);
-    __builtin_prefetch(tags_.data() + line_index(set, 0));
-    __builtin_prefetch(links_.data() + link_index(set, 0));
   }
 
  private:
@@ -227,7 +199,6 @@ class SetAssocCache {
   // path finds "first invalid owned way" with one countr_zero.
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived from way_masks_; rebuilt by rebuild_owned_ways() on restore
   std::vector<std::uint64_t> owned_ways_;
-  CacheStats stats_;
 };
 
 }  // namespace bacp::cache

@@ -10,14 +10,23 @@
 
 namespace bacp::core {
 
+namespace {
+
+/// The constructor's and rebind()'s shared parameter check.
+void check_config(const CoreTimerConfig& config) {
+  BACP_ASSERT(config.base_cpi > 0.0, "base_cpi must be positive");
+  BACP_ASSERT(config.instructions_per_l2_access > 0.0,
+              "instructions_per_l2_access must be positive");
+  BACP_ASSERT(config.mlp_window >= 1, "mlp_window must be >= 1");
+  BACP_ASSERT(config.gap_jitter >= 0.0 && config.gap_jitter < 1.0,
+              "gap_jitter must be in [0, 1)");
+}
+
+}  // namespace
+
 CoreTimer::CoreTimer(const CoreTimerConfig& config)
     : config_(config), rng_(config.seed, config.core) {
-  BACP_ASSERT(config_.base_cpi > 0.0, "base_cpi must be positive");
-  BACP_ASSERT(config_.instructions_per_l2_access > 0.0,
-              "instructions_per_l2_access must be positive");
-  BACP_ASSERT(config_.mlp_window >= 1, "mlp_window must be >= 1");
-  BACP_ASSERT(config_.gap_jitter >= 0.0 && config_.gap_jitter < 1.0,
-              "gap_jitter must be in [0, 1)");
+  check_config(config_);
   // record_completion() bounds the window at mlp_window, with one slot of
   // transient overshoot before trimming.
   outstanding_.reserve(config_.mlp_window + 1);
@@ -61,13 +70,12 @@ Cycle CoreTimer::peek_issue() const {
   return static_cast<Cycle>(t);
 }
 
-Cycle CoreTimer::advance_to_issue() {
-  const double issue = static_cast<double>(peek_issue());
+void CoreTimer::advance_to_issue(Cycle issue) {
+  BACP_SLOW_DASSERT(issue == peek_issue(), "advance_to_issue off the peeked issue time");
   pending_gap_ = -1.0;  // consume the drawn gap
-  time_ = issue;
+  time_ = static_cast<double>(issue);
   instructions_ += config_.instructions_per_l2_access;
   retire_completed();
-  return static_cast<Cycle>(issue);
 }
 
 void CoreTimer::retire_completed() {
@@ -82,6 +90,10 @@ void CoreTimer::record_completion(Cycle done_at) {
   std::push_heap(outstanding_.begin(), outstanding_.end(), std::greater<>{});
   // Invariant: the window can exceed mlp_window only transiently within a
   // peek/advance pair; enforce it here.
+  trim_window();
+}
+
+void CoreTimer::trim_window() {
   while (outstanding_.size() > config_.mlp_window) {
     time_ = std::max(time_, outstanding_.front().done_at);
     std::pop_heap(outstanding_.begin(), outstanding_.end(), std::greater<>{});
@@ -102,20 +114,13 @@ double CoreTimer::cpi() const {
 
 void CoreTimer::rebind(const CoreTimerConfig& config) {
   BACP_ASSERT(config.core == config_.core, "rebind may not move the timer across cores");
-  BACP_ASSERT(config.base_cpi > 0.0, "base_cpi must be positive");
-  BACP_ASSERT(config.instructions_per_l2_access > 0.0,
-              "instructions_per_l2_access must be positive");
-  BACP_ASSERT(config.mlp_window >= 1, "mlp_window must be >= 1");
+  check_config(config);
   config_ = config;
   rng_ = common::Rng(config.seed, config.core);
   pending_gap_ = -1.0;
   outstanding_.reserve(config_.mlp_window + 1);
   // A shrunken MLP window must not leave an oversized in-flight set behind.
-  while (outstanding_.size() > config_.mlp_window) {
-    time_ = std::max(time_, outstanding_.front().done_at);
-    std::pop_heap(outstanding_.begin(), outstanding_.end(), std::greater<>{});
-    outstanding_.pop_back();
-  }
+  trim_window();
 }
 
 void CoreTimer::mark() {

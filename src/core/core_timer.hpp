@@ -49,12 +49,14 @@ class CoreTimer {
   explicit CoreTimer(const CoreTimerConfig& config);
 
   /// Issue time of the next L2 access if it were issued now (includes MLP
-  /// and ROB stalls). Does not mutate state.
+  /// and ROB stalls). Draws the next gap once and otherwise does not
+  /// mutate state, so repeated peeks agree.
   Cycle peek_issue() const;
 
-  /// Executes the gap instructions and stalls; returns the actual issue
-  /// time of the access. Must be followed by record_completion().
-  Cycle advance_to_issue();
+  /// Executes the gap instructions and stalls up to `issue`, the value
+  /// peek_issue() returned with no timer call in between. Must be followed
+  /// by record_completion().
+  void advance_to_issue(Cycle issue);
 
   /// Registers the memory system's completion time for the just-issued
   /// access.
@@ -108,6 +110,8 @@ class CoreTimer {
 
   double next_gap_cycles() const;
   void retire_completed();
+  /// Retires the earliest completions until the window fits mlp_window.
+  void trim_window();
 
   CoreTimerConfig config_;
   mutable common::Rng rng_;
@@ -115,13 +119,12 @@ class CoreTimer {
   double instructions_ = 0.0;
   double mark_time_ = 0.0;
   double mark_instructions_ = 0.0;
-  // Pre-drawn jittered gap so peek_issue() and advance_to_issue() agree;
-  // mutable because peeking may need to draw it.
+  // Pre-drawn jittered gap: the first peek_issue() after an issue draws it
+  // and advance_to_issue() consumes it; mutable because peeking may draw.
   mutable double pending_gap_ = -1.0;
   // Min-heap on done_at (std::push_heap/pop_heap with std::greater). A raw
   // vector instead of std::priority_queue so peek_issue() can scan the
-  // window in place — the simulator peeks at least twice per access, and
-  // copying a priority_queue heap-allocates every time.
+  // window in place — copying a priority_queue heap-allocates every time.
   std::vector<InFlight> outstanding_;
 };
 

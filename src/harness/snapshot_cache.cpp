@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "audit/snapshot_audit.hpp"
+#include "common/fnv1a.hpp"
 #include "common/fsio.hpp"
 #include "obs/phase_timer.hpp"
 #include "sim/system_config.hpp"
@@ -158,14 +159,8 @@ std::uint64_t SnapshotCache::file_hits() const {
 }
 
 std::uint64_t warmup_key(std::uint64_t state_digest, std::uint64_t warmup_instructions) {
-  // Fold the warm-up length into the digest with one FNV-1a round per byte,
-  // matching the hash family used for the digest itself.
-  std::uint64_t hash = state_digest;
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    hash ^= (warmup_instructions >> shift) & 0xFF;
-    hash *= 0x00000100000001B3ull;
-  }
-  return hash;
+  // The digest's own hash family folds in the warm-up length.
+  return common::fnv1a_fold(state_digest, warmup_instructions);
 }
 
 void warm_system(sim::System& system, const trace::WorkloadMix& mix,

@@ -234,20 +234,34 @@ void DnucaCache::promote_to_head(BlockAddress block, CoreId core, Location from,
   ++stats_.promotions;
   noc_->migrate(from.bank, head, now);
 
-  // Demote displaced lines down the chain toward the hole left at `from`.
-  // Chains are always contiguous stretches of the view, so they are spans
-  // into it rather than freshly built vectors.
-  std::span<const BankId> chain;
-  if (config_.aggregation == AggregationKind::Cascade) {
-    const std::uint32_t from_pos = view_position(core, from.bank);
-    BACP_DASSERT(from_pos != kNotInView, "promotion source outside the view");
-    chain = std::span<const BankId>(view.data() + 1, from_pos);  // view[1..from]
-  } else {
-    // TwoLevelCascade: straight swap with the head.
-    const std::uint32_t from_pos = view_position(core, from.bank);
-    chain = std::span<const BankId>(view.data() + from_pos, 1);
-  }
+  // Demote displaced lines down the chain toward the hole left at `from`:
+  // Cascade shifts view[1..from] down one bank, TwoLevelCascade swaps
+  // straight with the head. Chains are always contiguous stretches of the
+  // view, so they are spans into it rather than freshly built vectors.
+  const std::uint32_t from_pos = view_position(core, from.bank);
+  BACP_DASSERT(from_pos != kNotInView, "promotion source outside the view");
+  const std::span<const BankId> chain =
+      config_.aggregation == AggregationKind::Cascade
+          ? std::span<const BankId>(view.data() + 1, from_pos)
+          : std::span<const BankId>(view.data() + from_pos, 1);
   fill_with_demotion(line.block, core, line.dirty, head, chain, now, outcome);
+}
+
+std::uint32_t DnucaCache::lookup_cost(CoreId core, std::uint32_t pos) const {
+  // Lookup energy per scheme: Parallel (and the shared baseline) probe the
+  // whole partition directory at once, AddressHash exactly one bank.
+  // Cascade walks the view nearest bank first, up to the line or through
+  // all of it; TwoLevelCascade stops after the head and its group.
+  const auto view_size = static_cast<std::uint32_t>(views_[core].size());
+  const std::uint32_t walked = pos == kNotInView ? view_size : pos + 1;
+  switch (config_.aggregation) {
+    case AggregationKind::AddressHash: return 1;
+    case AggregationKind::Cascade: return walked;
+    case AggregationKind::TwoLevelCascade: return std::min<std::uint32_t>(walked, 2);
+    case AggregationKind::Parallel:
+    case AggregationKind::SharedDnuca: return view_size;
+  }
+  return view_size;
 }
 
 L2AccessOutcome DnucaCache::access(BlockAddress block, CoreId core, bool is_write,
@@ -260,39 +274,16 @@ L2AccessOutcome DnucaCache::access(BlockAddress block, CoreId core, bool is_writ
   const auto& view = views_[core];
 
   const Location found = locate(block);
-  const BankId found_bank = found.bank;
-  const bool resident_here = found_bank != kInvalidBank;
-  const std::uint32_t pos =
-      resident_here ? view_position(core, found_bank) : kNotInView;
-  const bool in_view = pos != kNotInView;
-  if (in_view) {
-    // Lookup energy accounting per scheme: Parallel probes the whole
-    // partition directory at once; AddressHash exactly one bank; Cascade
-    // walks the chain; TwoLevel touches at most the head + the group.
-    switch (config_.aggregation) {
-      case AggregationKind::Parallel: outcome.directory_lookups = static_cast<std::uint32_t>(view.size()); break;
-      case AggregationKind::AddressHash: outcome.directory_lookups = 1; break;
-      case AggregationKind::Cascade: outcome.directory_lookups = pos + 1; break;
-      case AggregationKind::TwoLevelCascade: outcome.directory_lookups = pos == 0 ? 1 : 2; break;
-      case AggregationKind::SharedDnuca: outcome.directory_lookups = static_cast<std::uint32_t>(view.size()); break;
-    }
-  } else {
-    switch (config_.aggregation) {
-      case AggregationKind::Parallel: outcome.directory_lookups = static_cast<std::uint32_t>(view.size()); break;
-      case AggregationKind::AddressHash: outcome.directory_lookups = 1; break;
-      case AggregationKind::Cascade: outcome.directory_lookups = static_cast<std::uint32_t>(view.size()); break;
-      case AggregationKind::TwoLevelCascade: outcome.directory_lookups = std::min<std::uint32_t>(2, static_cast<std::uint32_t>(view.size())); break;
-      case AggregationKind::SharedDnuca: outcome.directory_lookups = static_cast<std::uint32_t>(view.size()); break;
-    }
-  }
-  stats_.directory_lookups += outcome.directory_lookups;
+  const bool resident_here = found.bank != kInvalidBank;
+  const std::uint32_t pos = resident_here ? view_position(core, found.bank) : kNotInView;
+  stats_.directory_lookups += lookup_cost(core, pos);
 
-  if (resident_here && in_view) {
+  if (pos != kNotInView) {
     ++stats_.hits[core];
     outcome.hit = true;
-    outcome.bank = found_bank;
-    outcome.ready_at = noc_->request(core, found_bank, now);
-    banks_[found_bank].touch_hit(block, found.way, core, is_write);
+    outcome.bank = found.bank;
+    outcome.ready_at = noc_->request(core, found.bank, now);
+    banks_[found.bank].touch_hit(block, found.way, is_write);
     if (config_.aggregation == AggregationKind::Cascade ||
         config_.aggregation == AggregationKind::TwoLevelCascade) {
       promote_to_head(block, core, found, now, outcome);
@@ -302,6 +293,8 @@ L2AccessOutcome DnucaCache::access(BlockAddress block, CoreId core, bool is_writ
     return outcome;
   }
 
+  bool dirty = is_write;
+  BankId fill_bank = kInvalidBank;
   if (resident_here) {
     // Off-view hit: the line survives from before a repartition. Serve it
     // from where it is, then migrate it into the core's own partition so
@@ -309,35 +302,28 @@ L2AccessOutcome DnucaCache::access(BlockAddress block, CoreId core, bool is_writ
     ++stats_.hits[core];
     ++stats_.offview_hits;
     outcome.hit = true;
-    outcome.bank = found_bank;
-    outcome.ready_at = noc_->request(core, found_bank, now);
-    const auto line = take_line(block, found);
-    const BankId target = pick_fill_bank(block, core);
-    noc_->migrate(found_bank, target, now);
-    std::span<const BankId> chain;
-    if (config_.aggregation == AggregationKind::Cascade) {
-      chain = std::span<const BankId>(view.data() + 1, view.size() - 1);
-    } else if (config_.aggregation == AggregationKind::TwoLevelCascade && view.size() > 1) {
-      chain = std::span<const BankId>(view.data() + 1, 1);
-    }
-    fill_with_demotion(block, core, line.dirty || is_write, target, chain, now,
-                       outcome);
-    return outcome;
+    outcome.bank = found.bank;
+    outcome.ready_at = noc_->request(core, found.bank, now);
+    dirty = take_line(block, found).dirty || is_write;
+    fill_bank = pick_fill_bank(block, core);
+    noc_->migrate(found.bank, fill_bank, now);
+  } else {
+    // Miss: detect at the fill bank, install there (caller adds memory
+    // latency on top of ready_at).
+    ++stats_.misses[core];
+    fill_bank = pick_fill_bank(block, core);
+    outcome.bank = fill_bank;
+    outcome.ready_at = noc_->request(core, fill_bank, now);
   }
-
-  // Miss: detect at the fill bank, install there (caller adds memory
-  // latency on top of ready_at).
-  ++stats_.misses[core];
-  const BankId fill_bank = pick_fill_bank(block, core);
-  outcome.bank = fill_bank;
-  outcome.ready_at = noc_->request(core, fill_bank, now);
+  // A line entering the partition displaces down the banks behind the
+  // head: the whole view for Cascade, the head's group for TwoLevelCascade.
   std::span<const BankId> chain;
   if (config_.aggregation == AggregationKind::Cascade) {
     chain = std::span<const BankId>(view.data() + 1, view.size() - 1);
   } else if (config_.aggregation == AggregationKind::TwoLevelCascade && view.size() > 1) {
     chain = std::span<const BankId>(view.data() + 1, 1);
   }
-  fill_with_demotion(block, core, is_write, fill_bank, chain, now, outcome);
+  fill_with_demotion(block, core, dirty, fill_bank, chain, now, outcome);
   return outcome;
 }
 
@@ -361,7 +347,6 @@ void DnucaCache::clear_stats() {
   stats_.demotions = 0;
   stats_.directory_lookups = 0;
   stats_.offview_hits = 0;
-  for (auto& bank : banks_) bank.clear_stats();
 }
 
 void DnucaCache::save_state(snapshot::Writer& writer) const {

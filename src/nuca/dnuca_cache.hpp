@@ -67,12 +67,10 @@ struct L2AccessOutcome {
   bool hit = false;
   BankId bank = kInvalidBank;  ///< serving bank (hit) or fill bank (miss)
   Cycle ready_at = 0;          ///< bank response time (miss: when the miss is known)
-  std::uint32_t directory_lookups = 0;
-  /// Lines that left the L2 this access. A single access displaces at most
-  /// one line all the way out of the structure (each demotion chain
-  /// terminates at the first non-demoted eviction); capacity 2 leaves
-  /// headroom for future schemes.
-  common::InlineVec<cache::Line, 2> evicted;
+  /// The line that left the L2 this access, if any. An access runs at most
+  /// one demotion chain, and a chain ends at its first eviction that is
+  /// not demoted, so no access evicts more than one line.
+  common::InlineVec<cache::Line, 1> evicted;
 };
 
 struct DnucaStats {
@@ -123,15 +121,6 @@ class DnucaCache {
   /// no longer resident (caller forwards to memory).
   bool writeback_update(BlockAddress block);
 
-  /// Read-prefetch of `block`'s residency row. sim::System issues it for
-  /// the next few accesses of a core's buffered stream.
-  void prefetch(BlockAddress block) const {
-    const std::uint16_t* row = row_of(block);
-    for (std::size_t slot = 0; slot < row_slots(); slot += kSlotsPerCacheLine) {
-      __builtin_prefetch(row + slot);
-    }
-  }
-
   /// Whole-structure presence probe (tests / invariants).
   bool resident(BlockAddress block) const;
   BankId bank_of(BlockAddress block) const;
@@ -159,9 +148,8 @@ class DnucaCache {
   /// Sentinel for "bank not in this core's view".
   static constexpr std::uint32_t kNotInView = static_cast<std::uint32_t>(-1);
 
-  /// Residency slots per 64-bit word of a row scan, and per cache line.
+  /// Residency slots per 64-bit word of a row scan.
   static constexpr std::size_t kSlotsPerWord = 4;
-  static constexpr std::size_t kSlotsPerCacheLine = 32;
 
   /// Where a resident block lives (bank kInvalidBank: nowhere). The way is
   /// exact, so hits, writebacks and migrations skip the bank's tag scan.
@@ -208,11 +196,15 @@ class DnucaCache {
   void rebuild_rows();
 
   /// Fills `block` into `bank_id` for `core`, cascading the displaced
-  /// victim down `chain` starting at `chain_next` (empty chain: victim
-  /// leaves the cache). Appends fully-evicted lines to `outcome`.
+  /// victim down `demotion_chain` (empty chain: the victim leaves the
+  /// cache). Records a line that leaves the cache in `outcome`.
   void fill_with_demotion(BlockAddress block, CoreId core, bool dirty, BankId bank_id,
                           std::span<const BankId> demotion_chain, Cycle now,
                           L2AccessOutcome& outcome);
+
+  /// Directory lookups an access by `core` costs when the line sits at
+  /// `pos` in its view (kNotInView: a miss or an off-view hit).
+  std::uint32_t lookup_cost(CoreId core, std::uint32_t pos) const;
 
   BankId pick_fill_bank(BlockAddress block, CoreId core);
   void promote_to_head(BlockAddress block, CoreId core, Location from, Cycle now,

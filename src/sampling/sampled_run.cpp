@@ -4,25 +4,13 @@
 
 #include "audit/sampling_audit.hpp"
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 #include "common/stats.hpp"
 #include "obs/phase_timer.hpp"
 #include "sampling/kmedoids.hpp"
 #include "sim/system.hpp"
 
 namespace bacp::sampling {
-
-namespace {
-
-/// FNV-1a fold of one 64-bit scalar, the repo's digest hash family.
-std::uint64_t fold(std::uint64_t hash, std::uint64_t value) {
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    hash ^= (value >> shift) & 0xFF;
-    hash *= 0x00000100000001B3ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 sim::SystemConfig sampled_system_config(const partition::CmpGeometry& geometry,
                                         std::uint64_t seed,
@@ -123,9 +111,9 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
   // earlier intervals ran detailed — so two plans share a snapshot iff they
   // share the entire medoid prefix leading to it.
   std::uint64_t chain = sim::config_digest(config, mix);
-  chain = fold(chain, run.warmup_instructions);
-  chain = fold(chain, run.interval_instructions);
-  chain = fold(chain, run.num_intervals);
+  chain = common::fnv1a_fold(chain, run.warmup_instructions);
+  chain = common::fnv1a_fold(chain, run.interval_instructions);
+  chain = common::fnv1a_fold(chain, run.num_intervals);
 
   bool warmed = false;
   std::uint32_t pos = 0;  // interval boundary the live system stands at
@@ -137,7 +125,7 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
 
   for (std::uint32_t slot = 0; slot < plan.k; ++slot) {
     const std::uint32_t medoid = plan.medoids[slot];
-    chain = fold(chain, medoid);
+    chain = common::fnv1a_fold(chain, medoid);
 
     const auto warm = [&]() -> snapshot::SystemSnapshot {
       const auto timer = obs::global_phase_timers().scope("sampling.warm");

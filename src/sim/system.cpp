@@ -349,20 +349,8 @@ trace::MemoryAccess System::next_access(CoreId core) {
   if (stream.cursor >= stream.batch.size) {
     generators_[core]->next_batch(stream.batch, trace::AccessBatch::kMaxSize);
     stream.cursor = 0;
-    // Lookahead over the fresh batch: prefetching the upcoming accesses'
-    // L2 residency rows turns their dependent misses into overlapped ones.
-    const std::uint32_t lookahead = std::min<std::uint32_t>(8, stream.batch.size);
-    for (std::uint32_t i = 0; i < lookahead; ++i) {
-      l2_->prefetch(stream.batch.accesses[i].block);
-    }
   }
-  const trace::MemoryAccess access = stream.batch.accesses[stream.cursor++];
-  if (stream.cursor < stream.batch.size) {
-    const BlockAddress upcoming = stream.batch.accesses[stream.cursor].block;
-    l1_[core].prefetch_set(upcoming);
-    l2_->prefetch(upcoming);
-  }
-  return access;
+  return stream.batch.accesses[stream.cursor++];
 }
 
 void System::flush_stream(CoreId core) {
@@ -420,17 +408,16 @@ Cycle System::serve_access(CoreId core, Cycle issue_time) {
 
   // L1 fill; its eviction may push dirty data back into the L2.
   const auto l1_fill = l1_[core].fill(access.block, 0, access.is_write);
-  if (l1_fill.evicted) {
-    const auto action =
-        directory_.on_l1_evict(l1_fill.evicted->block, core, l1_fill.evicted->dirty);
-    if (l1_fill.evicted->dirty || action.writeback_below) {
-      if (!l2_->writeback_update(l1_fill.evicted->block)) {
-        dram_.writeback(outcome.ready_at);
-      }
-    }
-  }
+  if (l1_fill.evicted) retire_l1_line(core, *l1_fill.evicted, outcome.ready_at);
 
   return data_ready;
+}
+
+void System::retire_l1_line(CoreId core, const cache::Line& line, Cycle at) {
+  const auto action = directory_.on_l1_evict(line.block, core, line.dirty);
+  if ((line.dirty || action.writeback_below) && !l2_->writeback_update(line.block)) {
+    dram_.writeback(at);
+  }
 }
 
 void System::drive(Stop stop, std::uint64_t count) {
@@ -481,8 +468,10 @@ void System::drive(Stop stop, std::uint64_t count) {
     const auto entry = queue.top();
     queue.pop();
 
-    const Cycle issue_time = timers_[entry.core]->advance_to_issue();
-    const Cycle done_at = serve_access(entry.core, issue_time);
+    // Nothing touches a core's timer between its push and its pop, so the
+    // queued time is the issue time.
+    timers_[entry.core]->advance_to_issue(entry.issue_at);
+    const Cycle done_at = serve_access(entry.core, entry.issue_at);
     timers_[entry.core]->record_completion(done_at);
 
     if (quota && remaining[entry.core] > 0 && --remaining[entry.core] == 0) {
@@ -555,10 +544,7 @@ void System::reset_core(CoreId core, std::string_view workload_name,
   // slot's local clock — it happened before the new tenant's first access.
   const Cycle drain_time = timers_[core]->time();
   for (const auto& line : l1_[core].resident_lines()) {
-    const auto action = directory_.on_l1_evict(line.block, core, line.dirty);
-    if (line.dirty || action.writeback_below) {
-      if (!l2_->writeback_update(line.block)) dram_.writeback(drain_time);
-    }
+    retire_l1_line(core, line, drain_time);
     l1_[core].invalidate(line.block);
   }
 

@@ -328,6 +328,10 @@ class System {
   void record_epoch_series();
   void reset_epoch_tracking();
   Cycle serve_access(CoreId core, Cycle issue_time);
+  /// Retires `line` leaving `core`'s L1 (a fill's victim or a reset_core()
+  /// flush): the directory drops the copy, and dirty data updates the L2
+  /// copy, or memory at `at` when the L2 no longer holds the block.
+  void retire_l1_line(CoreId core, const cache::Line& line, Cycle at);
   void apply_policy_plan();
   void snapshot_core(CoreId core);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 
 namespace bacp::sim {
 
@@ -62,17 +63,12 @@ namespace {
 /// hashing, so field widths can change without reshuffling the stream).
 class FieldDigest {
  public:
-  void u64(std::uint64_t value) {
-    for (unsigned shift = 0; shift < 64; shift += 8) {
-      hash_ ^= (value >> shift) & 0xFF;
-      hash_ *= 0x00000100000001B3ull;
-    }
-  }
+  void u64(std::uint64_t value) { hash_ = common::fnv1a_fold(hash_, value); }
   void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
   std::uint64_t value() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+  std::uint64_t hash_ = common::kFnv1aBasis;
 };
 
 }  // namespace

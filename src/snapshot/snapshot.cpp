@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 
 namespace bacp::snapshot {
 
@@ -26,8 +27,8 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   // doc), folded into one chain that then takes the 8-byte word tail and
   // the byte tail. memcpy keeps the word loads legal on any alignment; host
   // byte order is fine because snapshots are host-order throughout.
-  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
-  constexpr std::uint64_t kPrime = 0x00000100000001B3ull;
+  constexpr std::uint64_t kBasis = common::kFnv1aBasis;
+  constexpr std::uint64_t kPrime = common::kFnv1aPrime;
   const auto word_at = [&bytes](std::size_t at) {
     std::uint64_t word = 0;
     std::memcpy(&word, bytes.data() + at, sizeof(word));

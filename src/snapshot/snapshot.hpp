@@ -39,10 +39,11 @@ inline constexpr std::uint64_t kMagic = 0x50414E5350434142ull;  // "BACPSNAP"
 // generator section holds per-set live recency windows instead of whole
 // rings, and the L2 section no longer carries the residency index (restore
 // rebuilds it from the banks). v4: section checksums fold four word lanes;
-// payloads are unchanged. Banked older snapshots fail the version check
-// and rewarm — the bank is a cache, so a version bump costs time, never
-// correctness.
-inline constexpr std::uint32_t kVersion = 4;
+// payloads are unchanged. v5: the L1 and L2-bank payloads lose their
+// per-core hit, miss and eviction arrays (the caches no longer count).
+// Banked older snapshots fail the version check and rewarm — the bank is
+// a cache, so a version bump costs time, never correctness.
+inline constexpr std::uint32_t kVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kTableEntryBytes = 32;
 inline constexpr std::size_t kMaxSections = 16;

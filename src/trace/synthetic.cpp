@@ -175,13 +175,22 @@ void SyntheticTraceGenerator::save_state(snapshot::Writer& writer) const {
   std::uint64_t live = 0;
   for (const std::uint32_t size : recency_sizes_) live += size;
   writer.u64(live);
+  // A window is at most two contiguous runs of its ring, split at the ring
+  // end, so each run widens in a straight loop, as restore narrows.
+  const auto set_bits = std::countr_zero(config_.num_sets);
   std::vector<BlockAddress> window(config_.max_depth);
   for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
     const BlockId* ring = recency_ids_.get() + std::size_t{set} * ring_capacity_;
     const std::uint32_t head = recency_heads_[set];
     const std::uint32_t size = recency_sizes_[set];
-    for (std::uint32_t depth = 0; depth < size; ++depth) {
-      window[depth] = block_address(ring[(head + depth) & ring_mask_], set);
+    const std::uint32_t first_run = std::min(size, ring_capacity_ - head);
+    const BlockAddress base = block_address(0, set);
+    BlockAddress* out = window.data();
+    for (std::uint32_t depth = 0; depth < first_run; ++depth) {
+      out[depth] = base | (BlockAddress{ring[head + depth]} << set_bits);
+    }
+    for (std::uint32_t depth = first_run; depth < size; ++depth) {
+      out[depth] = base | (BlockAddress{ring[depth - first_run]} << set_bits);
     }
     writer.raw_scalars(std::span<const BlockAddress>(window.data(), size));
   }

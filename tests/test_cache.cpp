@@ -235,15 +235,14 @@ TEST(SetAssocCacheDeath, RestoreRejectsMetadataOutsideTheSet) {
 
   // Layout: geometry echo (3 x u32), tags and allocators (length-prefixed),
   // then per set {valid u64, dirty u64, head u8, tail u8}, then the
-  // length-prefixed link bytes (prev, next per way), way masks and stats.
+  // length-prefixed link bytes (prev, next per way) and way masks.
   constexpr std::size_t kLines = std::size_t{kSets} * kWays;
   constexpr std::size_t kMetaBytes = 18;
   const std::size_t meta_at = 12 + (8 + kLines * sizeof(BlockAddress)) +
                               (8 + kLines * sizeof(CoreId));
   const std::size_t set2_valid_at = meta_at + 2 * kMetaBytes;
   const std::size_t links_at = meta_at + kSets * kMetaBytes + 8;
-  ASSERT_EQ(bytes.size(), links_at + kLines * 2 + (8 + kWays * sizeof(CoreMask)) +
-                              3 * (8 + 2 * sizeof(std::uint64_t)));
+  ASSERT_EQ(bytes.size(), links_at + kLines * 2 + (8 + kWays * sizeof(CoreMask)));
   std::uint64_t valid = 0;
   std::memcpy(&valid, bytes.data() + set2_valid_at, sizeof(valid));
   ASSERT_EQ(valid, 0xFu);  // the offsets land on set 2's full valid mask
@@ -262,20 +261,6 @@ TEST(SetAssocCacheDeath, RestoreRejectsMetadataOutsideTheSet) {
   auto link = bytes;
   link[links_at + std::size_t{2} * kWays * 2 + 1] = kWays;  // set 2, way 0's next link
   EXPECT_DEATH(restore_bytes(target, link), "outside its set");
-}
-
-TEST(CacheStats, AggregationAndClear) {
-  CacheStats stats(2);
-  stats.hits[0] = 3;
-  stats.misses[1] = 2;
-  stats.hits[1] = 5;
-  EXPECT_EQ(stats.total_hits(), 8u);
-  EXPECT_EQ(stats.total_misses(), 2u);
-  EXPECT_EQ(stats.total_accesses(), 10u);
-  EXPECT_DOUBLE_EQ(stats.miss_ratio(), 0.2);
-  stats.clear();
-  EXPECT_EQ(stats.total_accesses(), 0u);
-  EXPECT_DOUBLE_EQ(stats.miss_ratio(), 0.0);
 }
 
 }  // namespace

@@ -302,13 +302,14 @@ core::CoreTimer exercised_timer() {
   core::CoreTimerConfig config;
   config.mlp_window = 4;
   core::CoreTimer timer(config);
-  for (int i = 0; i < 32; ++i) {
-    const Cycle issued = timer.advance_to_issue();
+  const auto serve_one = [&timer] {
+    const Cycle issued = timer.peek_issue();
+    timer.advance_to_issue(issued);
     timer.record_completion(issued + 40);
-  }
+  };
+  for (int i = 0; i < 32; ++i) serve_one();
   timer.mark();
-  const Cycle issued = timer.advance_to_issue();
-  timer.record_completion(issued + 40);
+  serve_one();
   return timer;
 }
 

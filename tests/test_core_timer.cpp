@@ -16,10 +16,18 @@ CoreTimerConfig deterministic(double base_cpi = 1.0, double ipa = 50.0,
   return config;
 }
 
+/// Issues the next access at its peeked time, as sim::System's drive loop
+/// does, and returns that time.
+Cycle issue_next(CoreTimer& timer) {
+  const Cycle issue = timer.peek_issue();
+  timer.advance_to_issue(issue);
+  return issue;
+}
+
 TEST(CoreTimer, BaseCpiWithInstantMemory) {
   CoreTimer timer(deterministic(0.8, 50.0));
   for (int i = 0; i < 1000; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     timer.record_completion(issue);  // zero-latency memory
   }
   timer.drain();
@@ -30,7 +38,7 @@ TEST(CoreTimer, FullyOverlappedMissesStayGapLimited) {
   // Latency 200, gap 50 cycles, window 8 -> the window hides everything.
   CoreTimer timer(deterministic(1.0, 50.0, 8));
   for (int i = 0; i < 2000; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     timer.record_completion(issue + 200);
   }
   timer.drain();
@@ -41,7 +49,7 @@ TEST(CoreTimer, SerializedMissesAreLatencyBound) {
   // Window 1: every access waits for the previous one.
   CoreTimer timer(deterministic(1.0, 50.0, 1));
   for (int i = 0; i < 2000; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     timer.record_completion(issue + 200);
   }
   timer.drain();
@@ -55,7 +63,7 @@ TEST(CoreTimer, MlpWindowInterpolatesBetweenExtremes) {
   auto run = [](std::uint32_t mlp) {
     CoreTimer timer(deterministic(1.0, 20.0, mlp));
     for (int i = 0; i < 3000; ++i) {
-      const Cycle issue = timer.advance_to_issue();
+      const Cycle issue = issue_next(timer);
       timer.record_completion(issue + 300);
     }
     timer.drain();
@@ -75,7 +83,7 @@ TEST(CoreTimer, RobLimitsRunahead) {
   config.rob_entries = 100;
   CoreTimer timer(config);
   for (int i = 0; i < 2000; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     timer.record_completion(issue + 400);
   }
   timer.drain();
@@ -85,19 +93,22 @@ TEST(CoreTimer, RobLimitsRunahead) {
 }
 
 TEST(CoreTimer, PeekMatchesAdvance) {
-  CoreTimer timer(deterministic());
+  CoreTimerConfig config = deterministic();
+  config.gap_jitter = 0.5;  // the drawn gap must survive repeated peeks
+  CoreTimer timer(config);
   for (int i = 0; i < 100; ++i) {
     const Cycle peeked = timer.peek_issue();
-    const Cycle actual = timer.advance_to_issue();
-    EXPECT_EQ(peeked, actual);
-    timer.record_completion(actual + 100);
+    EXPECT_EQ(timer.peek_issue(), peeked);
+    timer.advance_to_issue(peeked);
+    EXPECT_EQ(timer.time(), peeked);
+    timer.record_completion(peeked + 100);
   }
 }
 
 TEST(CoreTimer, InstructionsAccumulatePerAccess) {
   CoreTimer timer(deterministic(1.0, 25.0));
   for (int i = 0; i < 10; ++i) {
-    timer.record_completion(timer.advance_to_issue());
+    timer.record_completion(issue_next(timer));
   }
   EXPECT_DOUBLE_EQ(timer.instructions(), 250.0);
 }
@@ -106,13 +117,13 @@ TEST(CoreTimer, MarkIsolatesTheMeasurementWindow) {
   CoreTimer timer(deterministic(1.0, 10.0, 1));
   // Warm phase with slow memory.
   for (int i = 0; i < 500; ++i) {
-    timer.record_completion(timer.advance_to_issue() + 1000);
+    timer.record_completion(issue_next(timer) + 1000);
   }
   timer.mark();
   // Measured phase with instant memory: CPI since mark must reflect only
   // the fast phase.
   for (int i = 0; i < 500; ++i) {
-    timer.record_completion(timer.advance_to_issue());
+    timer.record_completion(issue_next(timer));
   }
   timer.drain();
   EXPECT_LT(timer.cpi_since_mark(), 3.0);
@@ -128,7 +139,7 @@ TEST(CoreTimer, JitterVariesGapsButConservesInstructions) {
   bool saw_variation = false;
   Cycle first_gap = 0;
   for (int i = 0; i < 50; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     const Cycle gap = issue - previous;
     if (i == 0) {
       first_gap = gap;
@@ -146,7 +157,7 @@ TEST(CoreTimer, DrainWaitsForAllOutstanding) {
   CoreTimer timer(deterministic(1.0, 50.0, 8));
   Cycle latest = 0;
   for (int i = 0; i < 4; ++i) {
-    const Cycle issue = timer.advance_to_issue();
+    const Cycle issue = issue_next(timer);
     latest = issue + 5000;
     timer.record_completion(latest);
   }

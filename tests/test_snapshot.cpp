@@ -676,40 +676,43 @@ TEST(SnapshotFileBank, PayloadByteFlipsInASampledBoundaryRewarm) {
 }
 
 TEST(SnapshotFileBank, FormatVersion3EntryRewarms) {
-  // A bank entry from before the four-lane checksums (format v3) fails the
-  // version check and rewarms, even though its own framing is intact.
-  const std::string dir = testing::TempDir() + "/bacp-snapbank-v3";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  snapshot::SnapshotBuilder builder(/*config_digest=*/0x0B3);
-  builder.begin_section(snapshot::SectionId::Noc).u64(7);
-  const auto saved = builder.finish();
-  constexpr std::uint64_t kKey = 0x0B3;
-  {
+  // Bank entries from before the four-lane checksums (format v3) and from
+  // before the caches stopped serializing counters (v4) fail the version
+  // check and rewarm, even though their own framing is intact.
+  for (const std::uint32_t old_version : {3u, 4u}) {
+    SCOPED_TRACE(old_version);
+    const std::string dir = testing::TempDir() + "/bacp-snapbank-v" + std::to_string(old_version);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    snapshot::SnapshotBuilder builder(/*config_digest=*/0x0B3);
+    builder.begin_section(snapshot::SectionId::Noc).u64(7);
+    const auto saved = builder.finish();
+    constexpr std::uint64_t kKey = 0x0B3;
+    {
+      harness::SnapshotCache cache;
+      cache.set_file_bank(dir);
+      cache.get_or_warm(kKey, [&] { return saved; });
+    }
+    std::vector<std::uint8_t> bytes = saved.bytes;
+    std::memcpy(bytes.data() + 8, &old_version, sizeof(old_version));
+    snapshot::SystemSnapshot old;
+    old.bytes = bytes;
+    const auto report = audit::audit_snapshot(old);
+    ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+    EXPECT_EQ(report.violations[0].field, "version");
+
+    overwrite_file(only_bank_file(dir), bytes);
+    int warmed = 0;
     harness::SnapshotCache cache;
     cache.set_file_bank(dir);
-    cache.get_or_warm(kKey, [&] { return saved; });
+    cache.get_or_warm(kKey, [&] {
+      ++warmed;
+      return saved;
+    });
+    EXPECT_EQ(warmed, 1);
+    EXPECT_EQ(cache.file_hits(), 0u);
+    std::filesystem::remove_all(dir);
   }
-  std::vector<std::uint8_t> bytes = saved.bytes;
-  const std::uint32_t old_version = 3;
-  std::memcpy(bytes.data() + 8, &old_version, sizeof(old_version));
-  snapshot::SystemSnapshot old;
-  old.bytes = bytes;
-  const auto report = audit::audit_snapshot(old);
-  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
-  EXPECT_EQ(report.violations[0].field, "version");
-
-  overwrite_file(only_bank_file(dir), bytes);
-  int warmed = 0;
-  harness::SnapshotCache cache;
-  cache.set_file_bank(dir);
-  cache.get_or_warm(kKey, [&] {
-    ++warmed;
-    return saved;
-  });
-  EXPECT_EQ(warmed, 1);
-  EXPECT_EQ(cache.file_hits(), 0u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
