@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < variants.size(); ++i) {
     table.begin_row()
         .cell(variants[i].label)
-        .cell(results[i].epochs())
+        .cell(results[i].epochs)
         .cell(results[i].l2_misses())
         .cell(results[i].mean_cpi())
-        .cell(results[i].offview_hits());
+        .cell(results[i].nuca.offview_hits);
     if (best_cpi == 0.0 || results[i].mean_cpi() < best_cpi) {
       best_cpi = results[i].mean_cpi();
     }

@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
     table.begin_row()
         .cell(vms[vm].first)
         .cell(vms[vm].second)
-        .cell(results[0].cores()[vm].cpi(), 2)
-        .cell(results[1].cores()[vm].cpi(), 2)
-        .cell(results[2].cores()[vm].cpi(), 2)
-        .cell(std::to_string(results[2].cores()[vm].allocated_ways()));
+        .cell(results[0].cores[vm].cpi, 2)
+        .cell(results[1].cores[vm].cpi, 2)
+        .cell(results[2].cores[vm].cpi, 2)
+        .cell(std::to_string(results[2].cores[vm].allocated_ways));
   }
 
   report.metric("none_l2_misses", results[0].l2_misses());

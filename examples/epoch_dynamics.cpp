@@ -49,19 +49,19 @@ int main(int argc, char** argv) {
   auto& final_table =
       report.table("final", {"core", "workload", "ways", "measured miss ratio"});
   for (CoreId core = 0; core < 8; ++core) {
-    const auto& c = results.cores()[core];
+    const auto& c = results.cores[core];
     final_table.begin_row()
         .cell(std::to_string(core))
-        .cell(c.workload())
-        .cell(std::to_string(c.allocated_ways()))
+        .cell(c.workload)
+        .cell(std::to_string(c.allocated_ways))
         .cell(c.l2_miss_ratio());
   }
 
-  report.metric("epochs", results.epochs());
-  report.metric("offview_hits", results.offview_hits());
+  report.metric("epochs", results.epochs);
+  report.metric("offview_hits", results.nuca.offview_hits);
   // The per-epoch time series the simulator recorded at every repartition
   // boundary — the machine-readable twin of the allocations table above.
-  report.attach("epoch_series", results.epoch_series().to_json());
+  report.attach("epoch_series", results.epoch_series.to_json());
   report.note("series 'core<N>.ways' mirrors the allocations table; "
               "'promotions'/'demotions' are per-epoch deltas");
   return report.emit(std::cout, options) ? 0 : 1;

@@ -45,7 +45,10 @@ int main(int argc, char** argv) {
       {"set=", "run a paper Table III set (Set1..Set8) instead of a mix"},
       {"list", "list the available workload models and exit"},
   }));
-  if (const auto exit_code = obs::handle_cli(parser, argc, argv)) return *exit_code;
+  if (const auto exit_code =
+          obs::handle_cli(parser, argc, argv, /*reads_positional=*/true)) {
+    return *exit_code;
+  }
   const auto options = obs::ReportOptions::from_args(parser);
   if (parser.has("list")) {
     common::Table table({"workload", "L2 APKI", "miss ratio @16 ways", "@72 ways"});
@@ -126,19 +129,19 @@ int main(int argc, char** argv) {
   auto& table = report.table("per_core", {"core", "workload", "ways", "L2 accesses",
                                           "L2 misses", "miss ratio", "CPI"});
   for (CoreId core = 0; core < config.geometry.num_cores; ++core) {
-    const auto& c = results.cores()[core];
+    const auto& c = results.cores[core];
     table.begin_row()
         .cell(std::to_string(core))
-        .cell(c.workload())
-        .cell(std::to_string(c.allocated_ways()))
+        .cell(c.workload)
+        .cell(std::to_string(c.allocated_ways))
         .cell(c.l2_accesses())
-        .cell(c.l2_misses())
+        .cell(c.l2_misses)
         .cell(c.l2_miss_ratio())
-        .cell(c.cpi());
+        .cell(c.cpi);
   }
   report.metric("l2_miss_ratio", results.l2_miss_ratio());
   report.metric("mean_cpi", results.mean_cpi());
-  report.metric("epochs", results.epochs());
+  report.metric("epochs", results.epochs);
   // The full structured result (all component counters + epoch series).
   report.attach("system_results", results.to_json());
   return report.emit(std::cout, options) ? 0 : 1;

@@ -148,16 +148,6 @@ CoreMask MoesiDirectory::sharers_of(BlockAddress block) const {
   return found == nullptr ? 0 : found->sharers;
 }
 
-void export_stats(const CoherenceStats& stats, obs::Registry& registry) {
-  registry.counter("coherence.read_fills").set(stats.read_fills);
-  registry.counter("coherence.write_fills").set(stats.write_fills);
-  registry.counter("coherence.upgrades").set(stats.upgrades);
-  registry.counter("coherence.invalidations").set(stats.invalidations);
-  registry.counter("coherence.interventions").set(stats.interventions);
-  registry.counter("coherence.inclusion_recalls").set(stats.inclusion_recalls);
-  registry.counter("coherence.writebacks").set(stats.writebacks);
-}
-
 void MoesiDirectory::save_state(snapshot::Writer& writer) const {
   writer.u32(num_cores_);
   // FlatHash64 iteration order depends on insertion history; sort by key so
@@ -176,13 +166,6 @@ void MoesiDirectory::save_state(snapshot::Writer& writer) const {
     writer.u8(entry.owner);
     writer.u8(static_cast<std::uint8_t>(entry.owner_state));
   }
-  writer.u64(stats_.read_fills);
-  writer.u64(stats_.write_fills);
-  writer.u64(stats_.upgrades);
-  writer.u64(stats_.invalidations);
-  writer.u64(stats_.interventions);
-  writer.u64(stats_.inclusion_recalls);
-  writer.u64(stats_.writebacks);
 }
 
 void MoesiDirectory::restore_state(snapshot::Reader& reader) {
@@ -199,13 +182,6 @@ void MoesiDirectory::restore_state(snapshot::Reader& reader) {
     entry.owner_state = static_cast<MoesiState>(reader.u8());
     entries_.insert_or_assign(key, entry);
   }
-  stats_.read_fills = reader.u64();
-  stats_.write_fills = reader.u64();
-  stats_.upgrades = reader.u64();
-  stats_.invalidations = reader.u64();
-  stats_.interventions = reader.u64();
-  stats_.inclusion_recalls = reader.u64();
-  stats_.writebacks = reader.u64();
 }
 
 }  // namespace bacp::coherence

@@ -4,7 +4,6 @@
 
 #include "common/flat_hash.hpp"
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace bacp::audit {
 class DirectoryAuditor;
@@ -48,9 +47,6 @@ struct CoherenceStats {
   std::uint64_t writebacks = 0;
 };
 
-/// Exports under "coherence.": one counter per CoherenceStats field.
-void export_stats(const CoherenceStats& stats, obs::Registry& registry);
-
 /// Directory-based MOESI protocol for the inclusive L2 (the paper's memory
 /// timing model uses "a detailed message-based model of the inter-chip
 /// network using a MOESI cache coherence protocol"). One entry exists per
@@ -92,7 +88,7 @@ class MoesiDirectory {
   void clear_stats() { stats_ = CoherenceStats{}; }
 
   /// Serializes every directory entry (in key order, so identical state is
-  /// identical bytes) plus statistics. Restore asserts the core-count echo.
+  /// identical bytes). Restore asserts the core-count echo.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -118,6 +114,7 @@ class MoesiDirectory {
   // fill/evict, and std::unordered_map's node allocation churn on that path
   // was one of the hottest costs in the whole simulator.
   common::FlatHash64<Entry> entries_;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement state, not warm state; System::restore_state re-arms it
   CoherenceStats stats_;
 };
 

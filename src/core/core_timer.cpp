@@ -138,8 +138,6 @@ void CoreTimer::save_state(snapshot::Writer& writer) const {
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
   writer.f64(time_);
   writer.f64(instructions_);
-  writer.f64(mark_time_);
-  writer.f64(mark_instructions_);
   writer.f64(pending_gap_);
   // Heap-array order, not sorted: restoring the exact array reproduces the
   // exact heap, so subsequent pushes/pops are bit-identical.
@@ -157,8 +155,6 @@ void CoreTimer::restore_state(snapshot::Reader& reader) {
   rng_.set_state(rng_state);
   time_ = reader.f64();
   instructions_ = reader.f64();
-  mark_time_ = reader.f64();
-  mark_instructions_ = reader.f64();
   pending_gap_ = reader.f64();
   const std::uint64_t in_flight = reader.u64();
   BACP_ASSERT(in_flight <= config_.mlp_window + 1, "snapshot MLP window overflow");

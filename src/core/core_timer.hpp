@@ -93,8 +93,9 @@ class CoreTimer {
 
   const CoreTimerConfig& config() const { return config_; }
 
-  /// Serializes the RNG state, clocks, marks, the pre-drawn gap and the
-  /// in-flight window (in heap-array order, so restore is bit-exact).
+  /// Serializes the RNG state, clocks, the pre-drawn gap and the in-flight
+  /// window (in heap-array order, so restore is bit-exact). The marks are
+  /// measurement state: System::restore_state re-arms them.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -117,7 +118,9 @@ class CoreTimer {
   mutable common::Rng rng_;
   double time_ = 0.0;
   double instructions_ = 0.0;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement-window start, not warm state; System::restore_state re-arms it with mark()
   double mark_time_ = 0.0;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement-window start, not warm state; System::restore_state re-arms it with mark()
   double mark_instructions_ = 0.0;
   // Pre-drawn jittered gap: the first peek_issue() after an issue draws it
   // and advance_to_issue() consumes it; mutable because peeking may draw.

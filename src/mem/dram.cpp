@@ -24,24 +24,8 @@ void Dram::writeback(Cycle now) {
   claim_channel(now);
 }
 
-void Dram::save_state(snapshot::Writer& writer) const {
-  writer.u64(channel_free_at_);
-  writer.u64(stats_.demand_reads);
-  writer.u64(stats_.writebacks);
-  writer.u64(stats_.total_channel_wait);
-}
+void Dram::save_state(snapshot::Writer& writer) const { writer.u64(channel_free_at_); }
 
-void Dram::restore_state(snapshot::Reader& reader) {
-  channel_free_at_ = reader.u64();
-  stats_.demand_reads = reader.u64();
-  stats_.writebacks = reader.u64();
-  stats_.total_channel_wait = reader.u64();
-}
-
-void export_stats(const DramStats& stats, obs::Registry& registry) {
-  registry.counter("dram.demand_reads").set(stats.demand_reads);
-  registry.counter("dram.writebacks").set(stats.writebacks);
-  registry.counter("dram.channel_wait_cycles").set(stats.total_channel_wait);
-}
+void Dram::restore_state(snapshot::Reader& reader) { channel_free_at_ = reader.u64(); }
 
 }  // namespace bacp::mem

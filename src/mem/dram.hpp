@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace bacp::snapshot {
 class Writer;
@@ -33,9 +32,6 @@ struct DramStats {
   std::uint64_t total_channel_wait = 0;  ///< queueing behind the channel
 };
 
-/// Exports under "dram.": demand_reads, writebacks, channel_wait_cycles.
-void export_stats(const DramStats& stats, obs::Registry& registry);
-
 class Dram {
  public:
   explicit Dram(const DramConfig& config) : config_(config) {}
@@ -51,7 +47,7 @@ class Dram {
   const DramStats& stats() const { return stats_; }
   void clear_stats() { stats_ = DramStats{}; }
 
-  /// Serializes channel occupancy and statistics.
+  /// Serializes channel occupancy.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -63,6 +59,7 @@ class Dram {
   // NOLINTNEXTLINE(bacp-snapshot-fields): immutable model constants (Table I); pinned by config_digest
   DramConfig config_;
   Cycle channel_free_at_ = 0;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement state, not warm state; System::restore_state re-arms it
   DramStats stats_;
 };
 

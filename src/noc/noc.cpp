@@ -60,27 +60,12 @@ void Noc::save_state(snapshot::Writer& writer) const {
   writer.u32(config_.num_cores);
   writer.u32(config_.num_banks);
   writer.scalars(std::span<const Cycle>(bank_free_at_));
-  writer.scalars(std::span<const std::uint64_t>(stats_.bank_requests));
-  writer.u64(stats_.total_queue_cycles);
-  writer.u64(stats_.migration_transfers);
 }
 
 void Noc::restore_state(snapshot::Reader& reader) {
   BACP_ASSERT(reader.u32() == config_.num_cores, "snapshot num_cores mismatch");
   BACP_ASSERT(reader.u32() == config_.num_banks, "snapshot num_banks mismatch");
   reader.scalars_into(std::span<Cycle>(bank_free_at_));
-  reader.scalars_into(std::span<std::uint64_t>(stats_.bank_requests));
-  stats_.total_queue_cycles = reader.u64();
-  stats_.migration_transfers = reader.u64();
-}
-
-void export_stats(const NocStats& stats, obs::Registry& registry) {
-  registry.counter("noc.queue_cycles").set(stats.total_queue_cycles);
-  registry.counter("noc.migration_transfers").set(stats.migration_transfers);
-  auto& requests = registry.distribution("noc.bank_requests");
-  for (const std::uint64_t count : stats.bank_requests) {
-    requests.observe(static_cast<double>(count));
-  }
 }
 
 }  // namespace bacp::noc

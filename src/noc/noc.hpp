@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace bacp::snapshot {
 class Writer;
@@ -43,11 +42,6 @@ struct NocStats {
   std::uint64_t migration_transfers = 0;     // bank-to-bank line moves
 };
 
-/// Exports under "noc.": queue_cycles and migration_transfers counters,
-/// plus a "noc.bank_requests" distribution over the per-bank request
-/// counts (its spread is the bank-pressure imbalance).
-void export_stats(const NocStats& stats, obs::Registry& registry);
-
 class Noc {
  public:
   explicit Noc(const NocConfig& config);
@@ -73,8 +67,7 @@ class Noc {
   const NocStats& stats() const { return stats_; }
   void clear_stats();
 
-  /// Serializes bank occupancy and statistics; restore asserts the
-  /// geometry echo.
+  /// Serializes bank occupancy; restore asserts the geometry echo.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -84,6 +77,7 @@ class Noc {
 
   NocConfig config_;
   std::vector<Cycle> bank_free_at_;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement state, not warm state; System::restore_state re-arms it
   NocStats stats_;
 };
 

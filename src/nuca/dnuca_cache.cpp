@@ -30,15 +30,6 @@ std::uint64_t DnucaStats::total_misses() const {
   return std::accumulate(misses.begin(), misses.end(), std::uint64_t{0});
 }
 
-void export_stats(const DnucaStats& stats, obs::Registry& registry) {
-  registry.counter("nuca.hits").set(stats.total_hits());
-  registry.counter("nuca.misses").set(stats.total_misses());
-  registry.counter("nuca.promotions").set(stats.promotions);
-  registry.counter("nuca.demotions").set(stats.demotions);
-  registry.counter("nuca.directory_lookups").set(stats.directory_lookups);
-  registry.counter("nuca.offview_hits").set(stats.offview_hits);
-}
-
 DnucaCache::DnucaCache(const DnucaConfig& config, noc::Noc& noc)
     : config_(config), noc_(&noc) {
   config_.geometry.validate();
@@ -357,12 +348,6 @@ void DnucaCache::save_state(snapshot::Writer& writer) const {
   for (const auto& bank : banks_) bank.save_state(writer);
   for (const auto& view : views_) writer.scalars(std::span<const BankId>(view));
   writer.scalars(std::span<const std::size_t>(round_robin_));
-  writer.scalars(std::span<const std::uint64_t>(stats_.hits));
-  writer.scalars(std::span<const std::uint64_t>(stats_.misses));
-  writer.u64(stats_.promotions);
-  writer.u64(stats_.demotions);
-  writer.u64(stats_.directory_lookups);
-  writer.u64(stats_.offview_hits);
 }
 
 void DnucaCache::restore_state(snapshot::Reader& reader) {
@@ -372,12 +357,6 @@ void DnucaCache::restore_state(snapshot::Reader& reader) {
   for (auto& view : views_) view = reader.scalars<BankId>();
   reader.scalars_into(std::span<std::size_t>(round_robin_));
   rebuild_rows();
-  reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
-  reader.scalars_into(std::span<std::uint64_t>(stats_.misses));
-  stats_.promotions = reader.u64();
-  stats_.demotions = reader.u64();
-  stats_.directory_lookups = reader.u64();
-  stats_.offview_hits = reader.u64();
   rebuild_view_positions();
 }
 

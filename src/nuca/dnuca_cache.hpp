@@ -9,7 +9,6 @@
 #include "common/inline_vec.hpp"
 #include "common/types.hpp"
 #include "noc/noc.hpp"
-#include "obs/metrics.hpp"
 #include "partition/partition_types.hpp"
 
 namespace bacp::audit {
@@ -85,12 +84,6 @@ struct DnucaStats {
   std::uint64_t total_misses() const;
 };
 
-/// Exports under "nuca.": live hit/miss totals, promotions, demotions,
-/// directory_lookups and offview_hits counters. Live counters cover every
-/// access in the window (including post-quota overrun) — the per-quota
-/// accounting lives in sim::SystemResults.
-void export_stats(const DnucaStats& stats, obs::Registry& registry);
-
 /// The 16-bank DNUCA L2 (paper Section II): per-bank way-partitioned
 /// 8-way caches plus the aggregation policy that welds each core's banks
 /// into one partition. Timing is delegated to the NoC model.
@@ -132,10 +125,10 @@ class DnucaCache {
   const cache::SetAssocCache& bank(BankId id) const { return banks_.at(id); }
   const std::vector<BankId>& view_of(CoreId core) const { return views_.at(core); }
 
-  /// Serializes all banks, the partition views, the fill cursors and
-  /// statistics. The residency rows are not written: they are derived from
-  /// the banks' valid lines, and restore rebuilds them (as it rebuilds the
-  /// view positions). Restore asserts the geometry echo.
+  /// Serializes all banks, the partition views and the fill cursors. The
+  /// residency rows are not written: they are derived from the banks' valid
+  /// lines, and restore rebuilds them (as it rebuilds the view positions).
+  /// Restore asserts the geometry echo.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -230,6 +223,7 @@ class DnucaCache {
   // valid and 0 otherwise.
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived from banks_' valid lines; rebuild_rows() on restore
   std::vector<std::uint16_t> fingerprints_;
+  // NOLINTNEXTLINE(bacp-snapshot-fields): measurement state, not warm state; System::restore_state re-arms it
   DnucaStats stats_;
 };
 

@@ -224,10 +224,15 @@ std::vector<std::pair<std::string, std::string>> with_report_flags(
 }
 
 std::optional<int> handle_cli(common::ArgParser& parser, int argc,
-                              const char* const* argv) {
+                              const char* const* argv, bool reads_positional) {
   const std::string program = argc > 0 ? argv[0] : "program";
   if (!parser.parse(argc, argv)) {
     std::cerr << parser.error() << "\n\n" << parser.help(program);
+    return 2;
+  }
+  if (!reads_positional && !parser.positional().empty()) {
+    std::cerr << "error: " << parser.positional().front() << ": unexpected argument\n\n"
+              << parser.help(program);
     return 2;
   }
   if (parser.has("help")) {

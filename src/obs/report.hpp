@@ -108,9 +108,11 @@ std::vector<std::pair<std::string, std::string>> with_report_flags(
     std::vector<std::pair<std::string, std::string>> spec);
 
 /// Standard CLI prologue: parses argv, prints help or a parse error as
-/// appropriate. Returns the exit code to return from main, or nullopt to
-/// continue running.
+/// appropriate. A positional argument is an error too unless the binary
+/// reads them (`reads_positional`): a stray word such as `-trials` (one
+/// dash) must not run the defaults. Returns the exit code to return from
+/// main, or nullopt to continue running.
 std::optional<int> handle_cli(common::ArgParser& parser, int argc,
-                              const char* const* argv);
+                              const char* const* argv, bool reads_positional = false);
 
 }  // namespace bacp::obs

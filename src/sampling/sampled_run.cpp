@@ -136,8 +136,7 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
       for (; pos < medoid; ++pos) system.run(run.interval_instructions);
       // The skipped intervals accumulated statistics and fired epoch
       // boundaries; re-arm the measurement window so the snapshot is
-      // statistics-clean (save_state's precondition) and the interval
-      // measures only itself.
+      // statistics-clean (save_state's precondition).
       system.reset_measurement();
       return system.save_state();
     };
@@ -150,14 +149,14 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
     // Restore unconditionally: on a store hit this forks the banked state
     // (possibly warmed by another thread or process); on a miss it re-applies
     // the bytes the live system just produced — either way the detailed
-    // interval below starts from the identical boundary state.
+    // interval below starts from the identical boundary state, in a fresh
+    // measurement window.
     {
       const auto timer = obs::global_phase_timers().scope("sampling.restore");
       system.restore_state(*boundary);
     }
     warmed = true;
     pos = medoid;
-    system.reset_measurement();
 
     {
       const auto timer = obs::global_phase_timers().scope("sampling.detail");

@@ -145,17 +145,13 @@ void Service::harvest_epoch() {
   bool class_changed = false;
   for (auto& [id, tenant] : tenants_) {
     const auto& sample = samples.at(tenant.slot);
-    const double accesses =
-        static_cast<double>(sample.l2_hits) + static_cast<double>(sample.l2_misses);
     TenantSeries& series = series_[id];
     series.epoch.push_back(static_cast<double>(epoch_));
-    series.cpi.push_back(sample.instructions > 0.0 ? sample.cycles / sample.instructions
-                                                   : 0.0);
-    series.miss_ratio.push_back(
-        accesses > 0.0 ? static_cast<double>(sample.l2_misses) / accesses : 0.0);
-    series.ways.push_back(static_cast<double>(sample.ways));
+    series.cpi.push_back(sample.cpi);
+    series.miss_ratio.push_back(sample.l2_miss_ratio());
+    series.ways.push_back(static_cast<double>(sample.allocated_ways));
     series.slot.push_back(static_cast<double>(tenant.slot));
-    tenant.ways = sample.ways;
+    tenant.ways = sample.allocated_ways;
     const double window = std::max(1.0, tenant.decayed_instructions + sample.instructions);
     tenant.decayed_instructions = window * 0.5;
     ++tenant.live_epochs;

@@ -13,7 +13,7 @@
 #endif
 
 #include "common/assert.hpp"
-#include "common/stats.hpp"
+#include "obs/metrics.hpp"
 #include "partition/bank_aware.hpp"
 #include "partition/static_policies.hpp"
 #include "trace/spec2000.hpp"
@@ -24,84 +24,96 @@ double CoreResult::l2_miss_ratio() const {
   const std::uint64_t accesses = l2_accesses();
   return accesses == 0
              ? 0.0
-             : static_cast<double>(l2_misses()) / static_cast<double>(accesses);
-}
-
-CoreResult& CoreResult::set_instructions(double value) {
-  metrics_.gauge("core.instructions").set(value);
-  return *this;
-}
-
-CoreResult& CoreResult::set_cycles(double value) {
-  metrics_.gauge("core.cycles").set(value);
-  return *this;
-}
-
-CoreResult& CoreResult::set_cpi(double value) {
-  metrics_.gauge("core.cpi").set(value);
-  return *this;
-}
-
-CoreResult& CoreResult::set_l2_hits(std::uint64_t value) {
-  metrics_.counter("core.l2_hits").set(value);
-  return *this;
-}
-
-CoreResult& CoreResult::set_l2_misses(std::uint64_t value) {
-  metrics_.counter("core.l2_misses").set(value);
-  return *this;
-}
-
-CoreResult& CoreResult::set_allocated_ways(WayCount ways) {
-  metrics_.counter("core.allocated_ways").set(ways);
-  return *this;
-}
-
-CoreResult& CoreResult::set_workload(std::string name) {
-  workload_ = std::move(name);
-  return *this;
+             : static_cast<double>(l2_misses) / static_cast<double>(accesses);
 }
 
 obs::Json CoreResult::to_json() const {
-  obs::Json json = obs::Json::object();
-  json.set("workload", workload_);
-  json.set("metrics", metrics_.to_json());
-  return json;
+  return obs::Json::object()
+      .set("workload", workload)
+      .set("metrics", obs::Json::object()
+                          .set("counters", obs::Json::object()
+                                               .set("core.allocated_ways",
+                                                    std::uint64_t{allocated_ways})
+                                               .set("core.l2_hits", l2_hits)
+                                               .set("core.l2_misses", l2_misses))
+                          .set("gauges", obs::Json::object()
+                                             .set("core.cpi", cpi)
+                                             .set("core.cycles", cycles)
+                                             .set("core.instructions", instructions))
+                          .set("distributions", obs::Json::object()));
 }
 
-SystemResults& SystemResults::set_l2_accesses(std::uint64_t value) {
-  metrics_.counter("sim.l2_accesses").set(value);
-  return *this;
+std::uint64_t SystemResults::l2_accesses() const {
+  std::uint64_t total = 0;
+  for (const auto& core : cores) total += core.l2_accesses();
+  return total;
 }
 
-SystemResults& SystemResults::set_l2_misses(std::uint64_t value) {
-  metrics_.counter("sim.l2_misses").set(value);
-  return *this;
+std::uint64_t SystemResults::l2_misses() const {
+  std::uint64_t total = 0;
+  for (const auto& core : cores) total += core.l2_misses;
+  return total;
 }
 
-SystemResults& SystemResults::set_l2_miss_ratio(double value) {
-  metrics_.gauge("sim.l2_miss_ratio").set(value);
-  return *this;
+double SystemResults::l2_miss_ratio() const {
+  const std::uint64_t accesses = l2_accesses();
+  return accesses == 0 ? 0.0
+                       : static_cast<double>(l2_misses()) / static_cast<double>(accesses);
 }
 
-SystemResults& SystemResults::set_mean_cpi(double value) {
-  metrics_.gauge("sim.mean_cpi").set(value);
-  return *this;
-}
-
-SystemResults& SystemResults::set_epochs(std::uint64_t value) {
-  metrics_.counter("sim.epochs").set(value);
-  return *this;
+double SystemResults::mean_cpi() const {
+  if (cores.empty()) return 0.0;
+  double sum = 0.0;
+  for (const auto& core : cores) sum += core.cpi;
+  return sum / static_cast<double>(cores.size());
 }
 
 obs::Json SystemResults::to_json() const {
+  // The spread of the per-bank request counts is the bank-pressure
+  // imbalance.
+  obs::Distribution bank_requests;
+  for (const std::uint64_t count : noc.bank_requests) {
+    bank_requests.observe(static_cast<double>(count));
+  }
+  // Members in name order.
+  obs::Json counters = obs::Json::object();
+  counters.set("coherence.inclusion_recalls", coherence.inclusion_recalls)
+      .set("coherence.interventions", coherence.interventions)
+      .set("coherence.invalidations", coherence.invalidations)
+      .set("coherence.read_fills", coherence.read_fills)
+      .set("coherence.upgrades", coherence.upgrades)
+      .set("coherence.write_fills", coherence.write_fills)
+      .set("coherence.writebacks", coherence.writebacks)
+      .set("dram.channel_wait_cycles", dram.total_channel_wait)
+      .set("dram.demand_reads", dram.demand_reads)
+      .set("dram.writebacks", dram.writebacks)
+      .set("noc.migration_transfers", noc.migration_transfers)
+      .set("noc.queue_cycles", noc.total_queue_cycles)
+      .set("nuca.demotions", nuca.demotions)
+      .set("nuca.directory_lookups", nuca.directory_lookups)
+      .set("nuca.hits", nuca.total_hits())
+      .set("nuca.misses", nuca.total_misses())
+      .set("nuca.offview_hits", nuca.offview_hits)
+      .set("nuca.promotions", nuca.promotions)
+      .set("sim.epochs", epochs)
+      .set("sim.l2_accesses", l2_accesses())
+      .set("sim.l2_misses", l2_misses())
+      .set("sim.live_l2_accesses", live_l2_accesses());
+  obs::Json metrics = obs::Json::object();
+  metrics.set("counters", std::move(counters))
+      .set("gauges", obs::Json::object()
+                         .set("sim.l2_miss_ratio", l2_miss_ratio())
+                         .set("sim.mean_cpi", mean_cpi()))
+      .set("distributions",
+           obs::Json::object().set("noc.bank_requests", bank_requests.to_json()));
+
   obs::Json json = obs::Json::object();
   json.set("schema", std::uint64_t{1});
-  json.set("metrics", metrics_.to_json());
-  obs::Json cores = obs::Json::array();
-  for (const auto& core : cores_) cores.push_back(core.to_json());
-  json.set("cores", std::move(cores));
-  json.set("epoch_series", epoch_series_.to_json());
+  json.set("metrics", std::move(metrics));
+  obs::Json core_array = obs::Json::array();
+  for (const auto& core : cores) core_array.push_back(core.to_json());
+  json.set("cores", std::move(core_array));
+  json.set("epoch_series", epoch_series.to_json());
   return json;
 }
 
@@ -148,7 +160,7 @@ System::System(const SystemConfig& config, const trace::WorkloadMix& mix)
   }
 
   streams_.resize(config_.geometry.num_cores);
-  snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
+  snapshots_.resize(config_.geometry.num_cores);
   last_epoch_instructions_.assign(config_.geometry.num_cores, 0.0);
   decayed_instructions_.assign(config_.geometry.num_cores, 0.0);
   active_.assign(config_.geometry.num_cores, 1);
@@ -491,16 +503,19 @@ void System::drive(Stop stop, std::uint64_t count) {
   audit_checkpoint("end of run");
 }
 
-void System::snapshot_core(CoreId core) {
-  CoreSnapshot snapshot;
-  snapshot.instructions = timers_[core]->instructions_since_mark();
-  snapshot.cycles = timers_[core]->cycles_since_mark();
-  snapshot.cpi = timers_[core]->cpi_since_mark();
-  snapshot.l2_hits = l2_->stats().hits[core];
-  snapshot.l2_misses = l2_->stats().misses[core];
-  snapshot.taken = true;
-  snapshots_[core] = snapshot;
+CoreResult System::live_core(CoreId core) const {
+  CoreResult result;
+  result.instructions = timers_[core]->instructions_since_mark();
+  result.cycles = timers_[core]->cycles_since_mark();
+  result.cpi = timers_[core]->cpi_since_mark();
+  result.l2_hits = l2_->stats().hits[core];
+  result.l2_misses = l2_->stats().misses[core];
+  result.allocated_ways = allocation_.ways_per_core.at(core);
+  result.workload = trace::spec2000_suite().at(bound_workloads_[core]).name;
+  return result;
 }
+
+void System::snapshot_core(CoreId core) { snapshots_[core] = live_core(core); }
 
 void System::reset_measurement() {
   l2_->clear_stats();
@@ -508,9 +523,9 @@ void System::reset_measurement() {
   noc_.clear_stats();
   directory_.clear_stats();
   for (auto& timer : timers_) timer->mark();
-  snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
+  for (auto& frozen : snapshots_) frozen.reset();
   // The epoch count and per-epoch series describe the measurement window
-  // only, so SystemResults::epochs() == epoch_series().num_epochs().
+  // only, so SystemResults::epochs == epoch_series.num_epochs().
   epochs_ = 0;
   reset_epoch_tracking();
 }
@@ -585,30 +600,22 @@ void System::install_partition(const partition::Allocation& allocation,
   audit_checkpoint("install_partition");
 }
 
-std::vector<System::CoreSample> System::sample_cores() const {
-  std::vector<CoreSample> samples(config_.geometry.num_cores);
-  const auto& l2_stats = l2_->stats();
+std::vector<CoreResult> System::sample_cores() const {
+  std::vector<CoreResult> samples;
+  samples.reserve(config_.geometry.num_cores);
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    CoreSample& sample = samples[core];
-    sample.instructions = timers_[core]->instructions_since_mark();
-    sample.cycles = timers_[core]->cycles_since_mark();
-    sample.l2_hits = l2_stats.hits[core];
-    sample.l2_misses = l2_stats.misses[core];
-    sample.ways = allocation_.ways_per_core.at(core);
-    sample.active = active_[core] != 0;
+    samples.push_back(live_core(core));
   }
   return samples;
 }
 
 snapshot::SystemSnapshot System::save_state() const {
-  // Snapshots are only meaningful at statistics-clean points (right after
-  // construction, warm_up() or reset_measurement()): epoch tracking, series
-  // handles and core snapshots are all in their reset state there, so
-  // restore can rebuild them deterministically instead of serializing
-  // registry internals.
+  // Snapshots are only taken at statistics-clean points (right after
+  // construction, warm_up() or reset_measurement()): measurement state is
+  // in its reset state there, so restore re-arms it instead of reading it.
   BACP_ASSERT(epochs_ == 0, "save_state requires a statistics-clean system");
-  for (const auto& core_snapshot : snapshots_) {
-    BACP_ASSERT(!core_snapshot.taken, "save_state requires a statistics-clean system");
+  for (const auto& frozen : snapshots_) {
+    BACP_ASSERT(!frozen.has_value(), "save_state requires a statistics-clean system");
   }
   snapshot::SnapshotBuilder builder(config_digest(config_, mix_));
   {
@@ -731,65 +738,28 @@ void System::restore_state(const snapshot::SystemSnapshot& snapshot) {
     BACP_ASSERT(timers_[core]->config().base_cpi == model.base_cpi,
                 "restore_state: core binding not replayed before restore");
   }
-  // The saving system was statistics-clean (save_state asserts it), so the
-  // derived tracking state rebuilds deterministically from component state —
-  // exactly what reset_measurement() established on the saving side.
-  snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
-  epochs_ = 0;
-  reset_epoch_tracking();
+  // A snapshot holds warm state only: the restore opens a fresh measurement
+  // window, exactly what reset_measurement() established on the saving side.
+  reset_measurement();
   audit_checkpoint("restore_state");
 }
 
 SystemResults System::results() const {
   SystemResults results;
-  const auto& suite = trace::spec2000_suite();
-  const auto& l2_stats = l2_->stats();
-  std::vector<double> cpis;
-  std::uint64_t hits_total = 0;
-  std::uint64_t misses_total = 0;
+  results.cores.reserve(config_.geometry.num_cores);
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    CoreResult core_result;
-    if (core < snapshots_.size() && snapshots_[core].taken) {
-      // Quota snapshot: exactly the core's measurement slice.
-      core_result.set_instructions(snapshots_[core].instructions)
-          .set_cycles(snapshots_[core].cycles)
-          .set_cpi(snapshots_[core].cpi)
-          .set_l2_hits(snapshots_[core].l2_hits)
-          .set_l2_misses(snapshots_[core].l2_misses);
-    } else {
-      core_result.set_instructions(timers_[core]->instructions_since_mark())
-          .set_cycles(timers_[core]->cycles_since_mark())
-          .set_cpi(timers_[core]->cpi_since_mark())
-          .set_l2_hits(l2_stats.hits[core])
-          .set_l2_misses(l2_stats.misses[core]);
-    }
-    core_result.set_allocated_ways(allocation_.ways_per_core.at(core));
-    core_result.set_workload(suite.at(bound_workloads_[core]).name);
-    cpis.push_back(core_result.cpi());
-    hits_total += core_result.l2_hits();
-    misses_total += core_result.l2_misses();
-    results.cores().push_back(std::move(core_result));
+    // A slice frozen at its quota keeps its counts; the allocation is read
+    // now either way.
+    CoreResult result = snapshots_[core] ? *snapshots_[core] : live_core(core);
+    result.allocated_ways = allocation_.ways_per_core.at(core);
+    results.cores.push_back(std::move(result));
   }
-
-  // Component modules publish their live counters under their own
-  // namespaces; the per-quota aggregates land under "sim.".
-  obs::Registry& metrics = results.metrics();
-  nuca::export_stats(l2_stats, metrics);
-  mem::export_stats(dram_.stats(), metrics);
-  noc::export_stats(noc_.stats(), metrics);
-  coherence::export_stats(directory_.stats(), metrics);
-
-  const std::uint64_t accesses = hits_total + misses_total;
-  results.set_l2_accesses(accesses);
-  metrics.counter("sim.live_l2_accesses")
-      .set(l2_stats.total_hits() + l2_stats.total_misses());
-  results.set_l2_misses(misses_total);
-  results.set_l2_miss_ratio(accesses == 0 ? 0.0
-                                          : static_cast<double>(misses_total) /
-                                                static_cast<double>(accesses));
-  results.set_mean_cpi(common::arithmetic_mean(cpis));
-  results.set_epochs(epochs_);
-  results.epoch_series() = epoch_series_;
+  results.epochs = epochs_;
+  results.epoch_series = epoch_series_;
+  results.nuca = l2_->stats();
+  results.noc = noc_.stats();
+  results.dram = dram_.stats();
+  results.coherence = directory_.stats();
   return results;
 }
 

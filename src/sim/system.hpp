@@ -1,7 +1,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -11,7 +13,7 @@
 #include "msa/stack_profiler.hpp"
 #include "noc/noc.hpp"
 #include "nuca/dnuca_cache.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/system_config.hpp"
 #include "snapshot/snapshot.hpp"
@@ -20,112 +22,66 @@
 
 namespace bacp::sim {
 
-/// Per-core results over the measurement window, backed by an obs::Registry
-/// (gauges "core.instructions|cycles|cpi", counters
-/// "core.l2_hits|l2_misses|allocated_ways"). The typed accessors are the
-/// stable API; metrics() exposes the registry to sinks and to callers that
-/// attach ad-hoc metrics.
-class CoreResult {
- public:
-  double instructions() const { return metrics_.gauge_value("core.instructions"); }
-  double cycles() const { return metrics_.gauge_value("core.cycles"); }
-  double cpi() const { return metrics_.gauge_value("core.cpi"); }
-  std::uint64_t l2_hits() const { return metrics_.counter_value("core.l2_hits"); }
-  std::uint64_t l2_misses() const { return metrics_.counter_value("core.l2_misses"); }
-  std::uint64_t l2_accesses() const { return l2_hits() + l2_misses(); }
-  double l2_miss_ratio() const;
-  WayCount allocated_ways() const {
-    return static_cast<WayCount>(metrics_.counter_value("core.allocated_ways"));
-  }
+/// One core's slice of the measurement window: frozen when the core meets
+/// its quota under run(), read live otherwise.
+struct CoreResult {
+  double instructions = 0.0;
+  double cycles = 0.0;
+  double cpi = 0.0;
+  std::uint64_t l2_hits = 0;
+  std::uint64_t l2_misses = 0;
+  WayCount allocated_ways = 0;
   /// Owned copy of the workload name (safe to outlive the suite entry).
-  const std::string& workload() const { return workload_; }
+  std::string workload;
 
-  CoreResult& set_instructions(double value);
-  CoreResult& set_cycles(double value);
-  CoreResult& set_cpi(double value);
-  CoreResult& set_l2_hits(std::uint64_t value);
-  CoreResult& set_l2_misses(std::uint64_t value);
-  CoreResult& set_allocated_ways(WayCount ways);
-  CoreResult& set_workload(std::string name);
+  std::uint64_t l2_accesses() const { return l2_hits + l2_misses; }
+  double l2_miss_ratio() const;
 
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
-
-  /// {"workload": ..., "metrics": {...}}.
+  /// {"workload": ..., "metrics": {"counters": {"core.allocated_ways",
+  /// "core.l2_hits", "core.l2_misses"}, "gauges": {"core.cpi",
+  /// "core.cycles", "core.instructions"}, "distributions": {}}}.
   obs::Json to_json() const;
-
- private:
-  obs::Registry metrics_;
-  std::string workload_;
 };
 
-/// Whole-run results. All scalar statistics live in one obs::Registry under
-/// the exporting component's namespace ("sim.", "nuca.", "noc.", "dram.",
-/// "coherence."); the typed accessors below are the stable reading API and
-/// document which registry name each figure comes from. The per-epoch
-/// adaptation record is exposed as an obs::TimeSeries.
-class SystemResults {
- public:
-  const std::vector<CoreResult>& cores() const { return cores_; }
-  std::vector<CoreResult>& cores() { return cores_; }
-
-  /// Sum of the per-core quota slices ("sim.l2_accesses"): exactly
-  /// `l2_accesses_per_core` accesses per core, the denominator for
-  /// per-quota miss accounting.
-  std::uint64_t l2_accesses() const { return metrics_.counter_value("sim.l2_accesses"); }
-  /// All L2 accesses seen live in the measurement window
-  /// ("sim.live_l2_accesses"), including the post-quota overrun that keeps
-  /// co-runner interference alive. Use this as the denominator for live
-  /// counters (migrations, directory lookups, NoC/DRAM traffic).
-  std::uint64_t live_l2_accesses() const {
-    return metrics_.counter_value("sim.live_l2_accesses");
-  }
-  std::uint64_t l2_misses() const { return metrics_.counter_value("sim.l2_misses"); }
-  double l2_miss_ratio() const { return metrics_.gauge_value("sim.l2_miss_ratio"); }
-  double mean_cpi() const { return metrics_.gauge_value("sim.mean_cpi"); }
-  std::uint64_t epochs() const { return metrics_.counter_value("sim.epochs"); }
-  std::uint64_t promotions() const { return metrics_.counter_value("nuca.promotions"); }
-  std::uint64_t demotions() const { return metrics_.counter_value("nuca.demotions"); }
-  std::uint64_t offview_hits() const {
-    return metrics_.counter_value("nuca.offview_hits");
-  }
-  std::uint64_t directory_lookups() const {
-    return metrics_.counter_value("nuca.directory_lookups");
-  }
-  std::uint64_t dram_reads() const { return metrics_.counter_value("dram.demand_reads"); }
-  std::uint64_t dram_writebacks() const {
-    return metrics_.counter_value("dram.writebacks");
-  }
-  std::uint64_t noc_queue_cycles() const {
-    return metrics_.counter_value("noc.queue_cycles");
-  }
-  std::uint64_t inclusion_recalls() const {
-    return metrics_.counter_value("coherence.inclusion_recalls");
-  }
-
-  SystemResults& set_l2_accesses(std::uint64_t value);
-  SystemResults& set_l2_misses(std::uint64_t value);
-  SystemResults& set_l2_miss_ratio(double value);
-  SystemResults& set_mean_cpi(double value);
-  SystemResults& set_epochs(std::uint64_t value);
-
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
-
+/// Whole-run results as plain values: the per-core slices, the epoch count
+/// and per-epoch series of the measurement window, and the components'
+/// live statistics, which cover every access in the window (including the
+/// post-quota overrun). to_json() is the one place that names the
+/// artifact's metrics.
+struct SystemResults {
+  std::vector<CoreResult> cores;
+  std::uint64_t epochs = 0;
   /// Per-epoch adaptation record ("core<N>.ways", "core<N>.cpi",
   /// "promotions", "demotions", "offview_hits", "noc_queue_cycles",
   /// "dram_reads", "dram_writebacks"); one sample per epoch boundary of the
-  /// measurement window, so num_epochs() == epochs().
-  obs::TimeSeries& epoch_series() { return epoch_series_; }
-  const obs::TimeSeries& epoch_series() const { return epoch_series_; }
+  /// measurement window, so num_epochs() == epochs.
+  obs::TimeSeries epoch_series;
+  nuca::DnucaStats nuca;
+  noc::NocStats noc;
+  mem::DramStats dram;
+  coherence::CoherenceStats coherence;
 
-  /// {"schema": 1, "metrics": ..., "cores": [...], "epoch_series": ...}.
+  /// Sum of the per-core quota slices: exactly `l2_accesses_per_core`
+  /// accesses per core, the denominator for per-quota miss accounting.
+  std::uint64_t l2_accesses() const;
+  /// All L2 accesses seen live in the measurement window, including the
+  /// post-quota overrun that keeps co-runner interference alive. Use this
+  /// as the denominator for live counters (migrations, directory lookups,
+  /// NoC/DRAM traffic).
+  std::uint64_t live_l2_accesses() const { return nuca.total_hits() + nuca.total_misses(); }
+  std::uint64_t l2_misses() const;
+  double l2_miss_ratio() const;
+  double mean_cpi() const;
+  std::uint64_t promotions() const { return nuca.promotions; }
+  std::uint64_t demotions() const { return nuca.demotions; }
+  std::uint64_t directory_lookups() const { return nuca.directory_lookups; }
+  std::uint64_t dram_reads() const { return dram.demand_reads; }
+  std::uint64_t noc_queue_cycles() const { return noc.total_queue_cycles; }
+
+  /// {"schema": 1, "metrics": {"counters", "gauges", "distributions"},
+  /// "cores": [...], "epoch_series": ...}; each metrics member is
+  /// name-sorted.
   obs::Json to_json() const;
-
- private:
-  std::vector<CoreResult> cores_;
-  obs::Registry metrics_;
-  obs::TimeSeries epoch_series_;
 };
 
 /// The full CMP: synthetic cores -> private L1s -> MOESI directory ->
@@ -204,17 +160,9 @@ class System {
 
   SystemResults results() const;
 
-  /// Cheap per-core counters for per-epoch harvesting (no registry or
-  /// string work): cumulative since the last statistics reset.
-  struct CoreSample {
-    double instructions = 0.0;
-    double cycles = 0.0;
-    std::uint64_t l2_hits = 0;
-    std::uint64_t l2_misses = 0;
-    WayCount ways = 0;
-    bool active = false;
-  };
-  std::vector<CoreSample> sample_cores() const;
+  /// Every core's live reading for per-epoch harvesting: cumulative since
+  /// the last statistics reset, ignoring any quota freeze.
+  std::vector<CoreResult> sample_cores() const;
 
   const partition::Allocation& current_allocation() const { return allocation_; }
 
@@ -234,35 +182,21 @@ class System {
   const trace::WorkloadMix& mix() const { return mix_; }
   const msa::StackProfiler& profiler(CoreId core) const { return *profilers_.at(core); }
 
-  /// Live view of the per-epoch recorder (also copied into results()).
-  const obs::TimeSeries& epoch_series() const { return epoch_series_; }
-
   /// Serializes the entire warm state — caches, directory, profilers,
   /// generators, timers, NoC/DRAM occupancy, partition state, RNG streams —
-  /// into one flat buffer stamped with config_digest(). Only legal at a
-  /// statistics-clean point (right after construction or warm_up(): no
-  /// epochs counted, no core snapshots frozen); identical state always
-  /// produces identical bytes.
+  /// into one flat buffer stamped with config_digest(). No statistic and
+  /// no measurement mark is written. Only legal at a statistics-clean point
+  /// (right after construction or warm_up(): no epochs counted, no core
+  /// slice frozen); identical state always produces identical bytes.
   snapshot::SystemSnapshot save_state() const;
 
   /// Exact inverse of save_state(): asserts the snapshot's digest matches
-  /// this system's config_digest(), then rebuilds every component so a
+  /// this system's config_digest(), rebuilds every component so a
   /// subsequent run() is bit-identical to one the saving system would have
-  /// produced.
+  /// produced, and opens a fresh measurement window (reset_measurement()).
   void restore_state(const snapshot::SystemSnapshot& snapshot);
 
  private:
-  /// Per-core statistics frozen at quota completion (cores run on past
-  /// their quota to keep interference alive until the slowest finishes).
-  struct CoreSnapshot {
-    double instructions = 0.0;
-    double cycles = 0.0;
-    double cpi = 0.0;
-    std::uint64_t l2_hits = 0;
-    std::uint64_t l2_misses = 0;
-    bool taken = false;
-  };
-
   /// Interned TimeSeries column handles for every series the epoch
   /// recorder emits, so an epoch boundary performs no string building or
   /// map lookups ("core<N>.ways" etc. are interned once per System by the
@@ -333,6 +267,8 @@ class System {
   /// copy, or memory at `at` when the L2 no longer holds the block.
   void retire_l1_line(CoreId core, const cache::Line& line, Cycle at);
   void apply_policy_plan();
+  /// The one reader of `core`'s measurement window, live.
+  CoreResult live_core(CoreId core) const;
   void snapshot_core(CoreId core);
 
   // NOLINTNEXTLINE(bacp-audit-coverage): immutable after construction; validated by SystemConfig parsing and pinned by config_digest
@@ -353,7 +289,10 @@ class System {
 
   partition::Allocation allocation_;
   std::vector<partition::Allocation> allocation_history_;
-  std::vector<CoreSnapshot> snapshots_;
+  // Per-core slices frozen at quota completion (cores run on past their
+  // quota to keep interference alive until the slowest finishes).
+  // NOLINTNEXTLINE(bacp-audit-coverage): plain measurement values, no structural invariant to audit
+  std::vector<std::optional<CoreResult>> snapshots_;
   // Session-layer slot state: scheduling eligibility per core (u8, not
   // bool, so it serializes through the flat codec unchanged) and the
   // workload index each slot currently executes (reset_core() moves it off

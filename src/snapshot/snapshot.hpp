@@ -41,9 +41,12 @@ inline constexpr std::uint64_t kMagic = 0x50414E5350434142ull;  // "BACPSNAP"
 // rebuilds it from the banks). v4: section checksums fold four word lanes;
 // payloads are unchanged. v5: the L1 and L2-bank payloads lose their
 // per-core hit, miss and eviction arrays (the caches no longer count).
+// v6: a snapshot holds warm state only — the L2, NoC, DRAM and directory
+// statistics and the core timers' measurement marks leave the payloads,
+// and a restore opens a fresh measurement window.
 // Banked older snapshots fail the version check and rewarm — the bank is
 // a cache, so a version bump costs time, never correctness.
-inline constexpr std::uint32_t kVersion = 5;
+inline constexpr std::uint32_t kVersion = 6;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kTableEntryBytes = 32;
 inline constexpr std::size_t kMaxSections = 16;

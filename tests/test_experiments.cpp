@@ -126,10 +126,23 @@ TEST(DetailedRunConfigDeath, ZeroInstrExits2) {
 }
 
 TEST(SetComparison, RatiosComputeAgainstNoPartition) {
+  // Two cores per policy: the totals sum their misses, the mean CPI
+  // averages their CPIs.
+  const auto two_cores = [](std::uint64_t misses, double cpi) {
+    sim::CoreResult low;
+    low.l2_misses = misses / 4;
+    low.cpi = cpi - 0.5;
+    sim::CoreResult high;
+    high.l2_misses = misses - misses / 4;
+    high.cpi = cpi + 0.5;
+    sim::SystemResults results;
+    results.cores = {low, high};
+    return results;
+  };
   SetComparison comparison;
-  comparison.none.set_l2_misses(1000).set_mean_cpi(2.0);
-  comparison.equal.set_l2_misses(400).set_mean_cpi(1.5);
-  comparison.bank_aware.set_l2_misses(300).set_mean_cpi(1.2);
+  comparison.none = two_cores(1000, 2.0);
+  comparison.equal = two_cores(400, 1.5);
+  comparison.bank_aware = two_cores(300, 1.2);
   EXPECT_DOUBLE_EQ(comparison.equal_relative_misses(), 0.4);
   EXPECT_DOUBLE_EQ(comparison.bank_relative_misses(), 0.3);
   EXPECT_DOUBLE_EQ(comparison.equal_relative_cpi(), 0.75);
@@ -161,8 +174,8 @@ void expect_same_results(const sim::SystemResults& a, const sim::SystemResults& 
   EXPECT_EQ(a.promotions(), b.promotions());
   EXPECT_EQ(a.demotions(), b.demotions());
   EXPECT_EQ(a.dram_reads(), b.dram_reads());
-  EXPECT_EQ(a.dram_writebacks(), b.dram_writebacks());
-  EXPECT_EQ(a.epochs(), b.epochs());
+  EXPECT_EQ(a.dram.writebacks, b.dram.writebacks);
+  EXPECT_EQ(a.epochs, b.epochs);
   EXPECT_EQ(a.mean_cpi(), b.mean_cpi());  // bitwise: same runs, same doubles
 }
 

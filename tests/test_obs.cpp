@@ -142,30 +142,23 @@ TEST(Json, BitFlipFuzzNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------------- Registry --
+// --------------------------------------------------------- Distribution --
 
-TEST(Registry, KindsAndValues) {
-  Registry registry;
-  registry.counter("a.count").add(3);
-  registry.counter("a.count").add(4);
-  registry.gauge("a.ratio").set(0.25);
-  registry.distribution("a.dist").observe(8.0);
-  EXPECT_EQ(registry.counter_value("a.count"), 7u);
-  EXPECT_DOUBLE_EQ(registry.gauge_value("a.ratio"), 0.25);
-  EXPECT_EQ(registry.counter_value("absent", 42), 42u);
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(registry.find_counter("absent"), nullptr);
-}
+TEST(Distribution, JsonSummarizesAndBinsByLog2) {
+  Distribution empty;
+  EXPECT_EQ(empty.to_json().dump(),
+            R"({"count":0,"mean":0,"stddev":0,"min":0,"max":0,"bins":[]})");
 
-TEST(Registry, JsonIsNameSorted) {
-  Registry registry;
-  registry.counter("z.last").add(1);
-  registry.counter("a.first").add(2);
-  registry.gauge("m.middle").set(3.0);
-  const std::string json = registry.to_json().dump();
-  EXPECT_LT(json.find("a.first"), json.find("z.last"));
-  EXPECT_NE(json.find("\"a.first\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"m.middle\":3"), std::string::npos) << json;
+  Distribution distribution;
+  // 0.5 and -3 land in bin 0 (values below 1); 2 and 3 share bin 1.
+  for (const double value : {0.5, -3.0, 2.0, 3.0, 16.0}) distribution.observe(value);
+  const Json json = distribution.to_json();
+  EXPECT_EQ(json.find("count")->as_uint(), 5u);
+  EXPECT_DOUBLE_EQ(json.find("mean")->as_double(), 3.7);
+  EXPECT_DOUBLE_EQ(json.find("min")->as_double(), -3.0);
+  EXPECT_DOUBLE_EQ(json.find("max")->as_double(), 16.0);
+  EXPECT_EQ(json.find("bins")->dump(),
+            R"([{"log2":0,"count":2},{"log2":1,"count":2},{"log2":4,"count":1}])");
 }
 
 // ----------------------------------------------------------- TimeSeries --

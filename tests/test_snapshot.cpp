@@ -141,7 +141,7 @@ TEST(SystemSnapshot, RestoreResumesBitIdentically) {
   original.run(900'000);
   restored.run(900'000);
   EXPECT_EQ(original.results().to_json().dump(), restored.results().to_json().dump());
-  EXPECT_EQ(original.results().epochs(), restored.results().epochs());
+  EXPECT_EQ(original.results().epochs, restored.results().epochs);
 
   // ...and resume along the *same* trajectory, not merely a similar one:
   // the warm states coincide byte-for-byte after the measured window too
@@ -676,10 +676,11 @@ TEST(SnapshotFileBank, PayloadByteFlipsInASampledBoundaryRewarm) {
 }
 
 TEST(SnapshotFileBank, FormatVersion3EntryRewarms) {
-  // Bank entries from before the four-lane checksums (format v3) and from
-  // before the caches stopped serializing counters (v4) fail the version
-  // check and rewarm, even though their own framing is intact.
-  for (const std::uint32_t old_version : {3u, 4u}) {
+  // Bank entries from before the four-lane checksums (format v3), from
+  // before the caches stopped serializing counters (v4) and from before
+  // statistics and timer marks left the format (v5) fail the version check
+  // and rewarm, even though their own framing is intact.
+  for (const std::uint32_t old_version : {3u, 4u, 5u}) {
     SCOPED_TRACE(old_version);
     const std::string dir = testing::TempDir() + "/bacp-snapbank-v" + std::to_string(old_version);
     std::filesystem::remove_all(dir);
