@@ -32,15 +32,6 @@ namespace {
 constexpr bacp::harness::Knob kEpochsKnob{"epochs", "churn stream length per lane, epochs"};
 constexpr bacp::harness::Knob kLanesKnob{"lanes", "independent service lanes"};
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = bacp::common::kFnv1aBasis;
-  for (const char byte : bytes) {
-    hash ^= static_cast<unsigned char>(byte);
-    hash *= bacp::common::kFnv1aPrime;
-  }
-  return hash;
-}
-
 std::string hex64(std::uint64_t value) {
   char buffer[19];
   std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(value));
@@ -126,7 +117,7 @@ int main(int argc, char** argv) {
     out.replans = service.replans();
     out.class_changes = service.class_changes();
     const std::string dump = service.tenant_report().dump();
-    out.report_digest = fnv1a(dump);
+    out.report_digest = bacp::common::fnv1a(dump);
     out.report_bytes = dump.size();
   });
   // NOLINTNEXTLINE(bacp-det-wallclock): bench wall-time reporting, as above
